@@ -33,6 +33,26 @@ fn mach(op: fpir::MachOp, ty: TyRef, args: Vec<Template>) -> Template {
     Template::Mach { op, ty, args }
 }
 
+/// `rounding_mul_shr(x, y, bits-1) -> op(x, y)` at one signed lane type:
+/// the rounding doubling multiply-high. Neither ARM's nor HVX's has an
+/// 8-bit form, so each width the table row does have gets its own rule.
+fn rounding_mul_high(name: &str, elem: ScalarType, op: fpir::MachOp) -> Rule {
+    Rule::new(
+        name,
+        RuleClass::SpecificConst,
+        Pat::Fpir(
+            FpirOp::RoundingMulShr,
+            vec![
+                wild_t(0, TypePat::Exact(elem)),
+                wild_t(1, TypePat::Exact(elem)),
+                cwild_t(2, TypePat::Exact(elem)),
+            ],
+        ),
+        mach(op, TyRef::OfWild(0), vec![tw(0), tw(1)]),
+    )
+    .with_pred(Predicate::ConstEqOwnBitsMinus1(2))
+}
+
 /// The lowering rule set for a target.
 pub fn lower_rules(isa: Isa) -> RuleSet {
     match isa {
@@ -160,23 +180,10 @@ fn arm_rules() -> RuleSet {
         .synthesized_from("gaussian3x3")
         .synthesized_from("gaussian5x5"),
     );
-    // Specific constant: rounding_mul_shr(x, y, bits-1) -> sqrdmulh.
-    rs.push(
-        Rule::new(
-            "arm-sqrdmulh",
-            RuleClass::SpecificConst,
-            Pat::Fpir(
-                FpirOp::RoundingMulShr,
-                vec![
-                    wild_t(0, TypePat::AnySigned(0)),
-                    wild_t(1, TypePat::Var(0)),
-                    cwild_t(2, TypePat::Var(0)),
-                ],
-            ),
-            mach(arm::SQRDMULH, TyRef::OfWild(0), vec![tw(0), tw(1)]),
-        )
-        .with_pred(Predicate::ConstEqOwnBitsMinus1(2)),
-    );
+    // Specific constant: rounding_mul_shr(x, y, bits-1) -> sqrdmulh, at
+    // the two widths the instruction exists.
+    rs.push(rounding_mul_high("arm-sqrdmulh", ScalarType::I16, arm::SQRDMULH));
+    rs.push(rounding_mul_high("arm-sqrdmulh32", ScalarType::I32, arm::SQRDMULH));
     rs
 }
 
@@ -331,23 +338,10 @@ fn hvx_rules() -> RuleSet {
         .synthesized_from("gaussian3x3")
         .synthesized_from("gaussian5x5"),
     );
-    // Specific constant: rounding_mul_shr(x, y, bits-1) -> vmpyo:rnd:sat.
-    rs.push(
-        Rule::new(
-            "hvx-rmulh",
-            RuleClass::SpecificConst,
-            Pat::Fpir(
-                FpirOp::RoundingMulShr,
-                vec![
-                    wild_t(0, TypePat::AnySigned(0)),
-                    wild_t(1, TypePat::Var(0)),
-                    cwild_t(2, TypePat::Var(0)),
-                ],
-            ),
-            mach(hvx::VMPYERND, TyRef::OfWild(0), vec![tw(0), tw(1)]),
-        )
-        .with_pred(Predicate::ConstEqOwnBitsMinus1(2)),
-    );
+    // Specific constant: rounding_mul_shr(x, y, bits-1) -> vmpyo:rnd:sat,
+    // at the two widths the instruction exists.
+    rs.push(rounding_mul_high("hvx-rmulh", ScalarType::I16, hvx::VMPYERND));
+    rs.push(rounding_mul_high("hvx-rmulh32", ScalarType::I32, hvx::VMPYERND));
     rs
 }
 
@@ -916,6 +910,41 @@ mod tests {
         assert!(!out.to_string().contains("sqrdmulh"), "{out}");
     }
 
+    /// `rounding_mul_shr(x, y, bits-1)` compiles at every signed width on
+    /// every backend and agrees with the interpreter — including i8, where
+    /// ARM and HVX have no multiply-high and must fall back.
+    #[test]
+    fn rounding_mul_high_compiles_at_every_width() {
+        use fpir::interp::eval;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(7);
+        for elem in [S::I8, S::I16, S::I32] {
+            let t = V::new(elem, 16);
+            let shift = build::constant(i128::from(elem.bits()) - 1, t);
+            let e = build::rounding_mul_shr(build::var("x", t), build::var("y", t), shift);
+            for isa in fpir::machine::ALL_ISAS {
+                let pf = crate::Pitchfork::new(isa);
+                let art = crate::compile_to_executable(&pf, &e)
+                    .unwrap_or_else(|err| panic!("{isa} at {elem}: {err}"));
+                let listing = art.program.render();
+                let high = matches!(isa, Isa::ArmNeon | Isa::HexagonHvx) && elem != S::I8;
+                assert_eq!(
+                    listing.contains("sqrdmulh") || listing.contains("vmpyo:rnd:sat"),
+                    high,
+                    "{isa} at {elem}:\n{listing}"
+                );
+                let mut ctx = art.exe.new_ctx();
+                for _ in 0..50 {
+                    let env = fpir::rand_expr::random_env(&mut rng, &e);
+                    let want = eval(&e, &env).unwrap();
+                    let got = art.exe.run(&mut ctx, &env).unwrap();
+                    assert_eq!(want, got, "{isa} at {elem} diverged on {env:?}\n{listing}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn lowered_rules_preserve_semantics() {
         use fpir::interp::{eval, eval_with};
@@ -979,9 +1008,10 @@ mod tests {
                 table + 1
             );
         }
-        // The paper-era packs, pinned at their pre-RVV sizes.
-        assert_eq!(lower_rules(Isa::ArmNeon).len(), 7);
-        assert_eq!(lower_rules(Isa::HexagonHvx).len(), 18);
+        // The paper-era packs, pinned. ARM and HVX each carry one rounding
+        // multiply-high rule per width their instruction has (16, 32 bits).
+        assert_eq!(lower_rules(Isa::ArmNeon).len(), 8);
+        assert_eq!(lower_rules(Isa::HexagonHvx).len(), 19);
         assert_eq!(lower_rules(Isa::X86Avx2).len(), 20);
         // The fourth target's whole marginal rule cost.
         assert_eq!(lower_rules(Isa::Rvv).len(), 10);

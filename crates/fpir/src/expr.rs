@@ -345,6 +345,12 @@ pub enum ExprKind {
 /// assert_eq!(avg.ty(), t);
 /// assert_eq!(avg.to_string(), "rounding_halving_add(a_u8, b_u8)");
 /// ```
+///
+/// The derived `Hash` is *structural*: hashing a node walks its whole
+/// subtree as a tree, which on a shared DAG costs time proportional to
+/// tree size — exponential in depth for a doubling chain. Memos on a hot
+/// path must key on [`Expr::ptr_id`] (see [`crate::identity`]), not on
+/// the `RcExpr` itself.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Expr {
     kind: ExprKind,

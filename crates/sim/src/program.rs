@@ -5,11 +5,18 @@
 //! subexpression elimination — the form the cycle model prices and the VM
 //! executes. [`Program::render`] prints the assembly-like listings used by
 //! the Figure 3 report.
+//!
+//! Emission is value numbering over the DAG, so it costs time linear in
+//! *unique* nodes like every other pass: each `Arc` is visited once, and
+//! an instruction is identified by its opcode and operand *registers*
+//! rather than by hashing the subtree below it.
 
-use fpir::expr::{ExprKind, RcExpr};
+use fpir::expr::{Expr, ExprKind, RcExpr};
+use fpir::identity::IdMap;
 use fpir::types::VectorType;
 use fpir::{Isa, MachOp};
 use fpir_isa::{MachSem, Target};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -28,7 +35,7 @@ pub struct PInst {
 }
 
 /// Instruction payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PKind {
     /// Stream an input vector from memory.
     Load {
@@ -124,7 +131,8 @@ impl std::error::Error for EmitError {}
 /// (run `fpir_isa::legalize` first) or an instruction violates its
 /// table definition.
 pub fn emit(expr: &RcExpr, target: &Target) -> Result<Program, EmitError> {
-    let mut e = Emitter { target, insts: Vec::new(), cse: HashMap::new() };
+    let mut e =
+        Emitter { target, insts: Vec::new(), by_node: IdMap::default(), by_value: HashMap::new() };
     let output = e.emit(expr)?;
     Ok(Program { isa: target.isa, insts: e.insts, output })
 }
@@ -132,12 +140,22 @@ pub fn emit(expr: &RcExpr, target: &Target) -> Result<Program, EmitError> {
 struct Emitter<'t> {
     target: &'t Target,
     insts: Vec<PInst>,
-    cse: HashMap<RcExpr, Reg>,
+    /// Register of every node already emitted, keyed by
+    /// [`Expr::ptr_id`]. The root borrowed by [`emit`] keeps every node
+    /// alive for the whole call, so no address is recycled.
+    by_node: IdMap<Reg>,
+    /// Value numbers: the register holding each distinct instruction.
+    /// Operands are already registers, so structurally-equal nodes in
+    /// distinct allocations get the same key without a subtree walk.
+    /// Keeps the default hasher: load names and splat values come from
+    /// client expressions, which must not pick the collisions.
+    by_value: HashMap<(VectorType, PKind), Reg>,
 }
 
 impl Emitter<'_> {
     fn emit(&mut self, expr: &RcExpr) -> Result<Reg, EmitError> {
-        if let Some(&r) = self.cse.get(expr) {
+        let id = Expr::ptr_id(expr);
+        if let Some(&r) = self.by_node.get(&id) {
             return Ok(r);
         }
         let kind = match expr.kind() {
@@ -169,10 +187,17 @@ impl Emitter<'_> {
             }
             other => return Err(EmitError { what: format!("unlowered node {other:?} in {expr}") }),
         };
-        let dst = self.insts.len();
-        self.insts.push(PInst { dst, ty: expr.ty(), kind });
-        self.cse.insert(expr.clone(), dst);
-        Ok(dst)
+        let ty = expr.ty();
+        let reg = match self.by_value.entry((ty, kind)) {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(v) => {
+                let dst = self.insts.len();
+                self.insts.push(PInst { dst, ty, kind: v.key().1.clone() });
+                *v.insert(dst)
+            }
+        };
+        self.by_node.insert(id, reg);
+        Ok(reg)
     }
 }
 
@@ -241,6 +266,19 @@ mod tests {
         // loads a, b; one uaddl; one add = 4 instructions.
         assert_eq!(p.insts().len(), 4);
         assert_eq!(p.op_count(), 2);
+    }
+
+    #[test]
+    fn cse_shares_equal_subexpressions_in_distinct_allocations() {
+        let t = V::new(S::U8, 16);
+        let sum = || build::widening_add(build::var("a", t), build::var("b", t));
+        let (l, r) = (sum(), sum());
+        assert!(!std::sync::Arc::ptr_eq(&l, &r));
+        let p = lower(&build::add(l, r), Isa::ArmNeon);
+        // Same program as the one-`Arc` case: loads a, b; one uaddl; one add.
+        assert_eq!(p.insts().len(), 4);
+        let PKind::Op { args, .. } = &p.insts()[p.output()].kind else { panic!("{p}") };
+        assert_eq!(args[0], args[1], "both operands read the one uaddl\n{p}");
     }
 
     #[test]
