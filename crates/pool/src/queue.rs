@@ -7,9 +7,9 @@
 //! counterpart:
 //!
 //! * a fixed set of worker threads started once and kept warm;
-//! * a bounded FIFO — [`TaskQueue::try_submit`] refuses (returns
-//!   [`QueueFull`]) when `capacity` tasks are already waiting, so a
-//!   burst beyond the configured depth is rejected in O(1) at admission
+//! * a bounded FIFO — [`TaskQueue::submit_batch`] admits tasks in
+//!   order until `capacity` are waiting and reports how many it took,
+//!   so a burst beyond the configured depth is rejected at admission
 //!   time rather than piling up latency for everyone behind it;
 //! * observable depth ([`TaskQueue::depth`]) and in-flight count
 //!   ([`TaskQueue::active`]) for a `/stats` endpoint;
@@ -17,9 +17,9 @@
 //!   workers join, later submissions are refused.
 //!
 //! Tasks are plain `FnOnce` closures; results travel back to the
-//! submitter through whatever channel the closure captured (the service
-//! layer uses a one-shot mutex/condvar cell so a waiter can time out
-//! independently of the task).
+//! submitter through whatever channel the closure captured (the
+//! service's event loop pushes completions onto a shared vector and
+//! rings a wakeup pipe).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,18 +28,6 @@ use std::thread::JoinHandle;
 
 /// A unit of work for a [`TaskQueue`].
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Admission refused: the bounded queue is at capacity (or shut down).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueFull;
-
-impl std::fmt::Display for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("task queue at capacity")
-    }
-}
-
-impl std::error::Error for QueueFull {}
 
 struct QueueState {
     tasks: VecDeque<Task>,
@@ -90,25 +78,6 @@ impl TaskQueue {
             })
             .collect();
         TaskQueue { shared, workers }
-    }
-
-    /// Admit `task` if the queue has room.
-    ///
-    /// # Errors
-    ///
-    /// [`QueueFull`] when `capacity` tasks are already waiting or the
-    /// queue has been shut down; the task is returned to the caller
-    /// untouched in neither case — it is simply dropped with the error,
-    /// so captured reply channels observe the shed.
-    pub fn try_submit(&self, task: Task) -> Result<(), QueueFull> {
-        let mut st = self.shared.state.lock().expect("queue lock");
-        if st.shutdown || st.tasks.len() >= self.shared.capacity {
-            return Err(QueueFull);
-        }
-        st.tasks.push_back(task);
-        drop(st);
-        self.shared.ready.notify_one();
-        Ok(())
     }
 
     /// Admit a batch of tasks under one lock acquisition, in order,
@@ -216,6 +185,11 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
+    /// Submit one task as a one-element batch, requiring admission.
+    fn submit(q: &TaskQueue, task: Task) {
+        assert_eq!(q.submit_batch(vec![task]), 1, "task refused");
+    }
+
     #[test]
     fn runs_submitted_tasks() {
         let q = TaskQueue::new(4, 64);
@@ -224,11 +198,13 @@ mod tests {
         for _ in 0..50 {
             let counter = Arc::clone(&counter);
             let tx = tx.clone();
-            q.try_submit(Box::new(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-                tx.send(()).unwrap();
-            }))
-            .unwrap();
+            submit(
+                &q,
+                Box::new(move || {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    tx.send(()).unwrap();
+                }),
+            );
         }
         for _ in 0..50 {
             rx.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -244,21 +220,23 @@ mod tests {
         let q = TaskQueue::new(1, 2);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
-        q.try_submit(Box::new(move || {
-            let (m, cv) = &*g;
-            let mut open = m.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        }))
-        .unwrap();
+        submit(
+            &q,
+            Box::new(move || {
+                let (m, cv) = &*g;
+                let mut open = m.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+            }),
+        );
         // Wait for the worker to pick the blocker up (depth back to 0).
         while q.active() == 0 {
             std::thread::yield_now();
         }
-        q.try_submit(Box::new(|| {})).unwrap();
-        q.try_submit(Box::new(|| {})).unwrap();
-        assert_eq!(q.try_submit(Box::new(|| {})), Err(QueueFull));
+        submit(&q, Box::new(|| {}));
+        submit(&q, Box::new(|| {}));
+        assert_eq!(q.submit_batch(vec![Box::new(|| {})]), 0);
         assert_eq!(q.depth(), 2);
         let (m, cv) = &*gate;
         *m.lock().unwrap() = true;
@@ -273,14 +251,16 @@ mod tests {
         let q = TaskQueue::new(1, 3);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
-        q.try_submit(Box::new(move || {
-            let (m, cv) = &*g;
-            let mut open = m.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        }))
-        .unwrap();
+        submit(
+            &q,
+            Box::new(move || {
+                let (m, cv) = &*g;
+                let mut open = m.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+            }),
+        );
         while q.active() == 0 {
             std::thread::yield_now();
         }
@@ -317,10 +297,12 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
-            q.try_submit(Box::new(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            }))
-            .unwrap();
+            submit(
+                &q,
+                Box::new(move || {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }),
+            );
         }
         q.shutdown();
         assert_eq!(counter.load(Ordering::Relaxed), 100);
@@ -330,8 +312,8 @@ mod tests {
     fn panicking_task_does_not_kill_workers() {
         let q = TaskQueue::new(1, 16);
         let (tx, rx) = mpsc::channel();
-        q.try_submit(Box::new(|| panic!("boom"))).unwrap();
-        q.try_submit(Box::new(move || tx.send(7).unwrap())).unwrap();
+        submit(&q, Box::new(|| panic!("boom")));
+        submit(&q, Box::new(move || tx.send(7).unwrap()));
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
         q.shutdown();
     }
@@ -340,7 +322,7 @@ mod tests {
     fn drop_joins_workers() {
         let q = TaskQueue::new(2, 8);
         let (tx, rx) = mpsc::channel();
-        q.try_submit(Box::new(move || tx.send(()).unwrap())).unwrap();
+        submit(&q, Box::new(move || tx.send(()).unwrap()));
         drop(q);
         // The task either ran before shutdown or was drained by it.
         assert!(rx.try_recv().is_ok());

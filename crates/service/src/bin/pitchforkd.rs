@@ -24,8 +24,10 @@ USAGE:
 OPTIONS:
     --socket PATH       listen on a Unix socket at PATH
     --tcp ADDR          listen on a TCP address, e.g. 127.0.0.1:7737
-    --workers N         compile worker threads   [default: #cores, max 8]
-    --queue N           compile queue capacity   [default: workers * 8]
+    --workers N         compile worker threads, exactly N
+                        [default: #cores, clamped to 2..8]
+    --queue N           compile queue bound; ready requests past it are
+                        answered `overloaded` [default: 256]
     --cache-mb N        artifact cache budget    [default: 64]
     --timeout-ms N      default per-request deadline [default: none]
     --max-conns N       concurrent connection cap [default: 128]
@@ -66,13 +68,12 @@ fn main() -> ExitCode {
                 "--socket" => endpoint = Some(Endpoint::Unix(PathBuf::from(take("--socket")?))),
                 "--tcp" => endpoint = Some(Endpoint::Tcp(take("--tcp")?)),
                 "--workers" => {
-                    config.workers = take("--workers")?
+                    opts.workers = take("--workers")?
                         .parse()
                         .map_err(|_| "--workers must be an integer".to_string())?;
-                    config.queue_capacity = config.workers.max(1) * 8;
                 }
                 "--queue" => {
-                    config.queue_capacity = take("--queue")?
+                    opts.queue_capacity = take("--queue")?
                         .parse()
                         .map_err(|_| "--queue must be an integer".to_string())?;
                 }
@@ -145,8 +146,8 @@ fn main() -> ExitCode {
     install_signal_handlers();
     eprintln!(
         "pitchforkd: listening on {endpoint} ({} workers, queue {}, cache {} MiB, {} conns)",
-        config.workers,
-        config.queue_capacity,
+        opts.workers,
+        opts.queue_capacity,
         config.cache_bytes >> 20,
         opts.max_connections
     );

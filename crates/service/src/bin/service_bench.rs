@@ -282,8 +282,6 @@ fn restart_warm_scenario(
     let _ = std::fs::remove_dir_all(&dir);
     let config = ServiceConfig {
         cache_bytes: 256 << 20,
-        workers: 2,
-        queue_capacity: 64,
         default_timeout_ms: None,
         cache_dir: Some(dir.clone()),
         cache_max_bytes: None,
@@ -384,8 +382,6 @@ fn fleet_scenario(
         .map(|_| {
             Arc::new(Service::new(ServiceConfig {
                 cache_bytes: 256 << 20,
-                workers: 2,
-                queue_capacity: 64,
                 default_timeout_ms: None,
                 cache_dir: None,
                 cache_max_bytes: None,
@@ -594,8 +590,6 @@ fn main() -> ExitCode {
 
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 256 << 20,
-        workers: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
-        queue_capacity: 256,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,

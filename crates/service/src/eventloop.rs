@@ -12,20 +12,28 @@
 //!                  └───────▲──────────────────────────┬───────────┘
 //!                          │ wakeup pipe              │ submit_batch
 //!                  ┌───────┴──────────────────────────▼───────────┐
-//!                  │        dispatch workers (TaskQueue)          │
-//!                  │   Service::handle_local — compile inline     │
+//!                  │      the compile pool (TaskQueue)            │
+//!                  │   Service::handle_at — compile inline        │
 //!                  └──────────────────────────────────────────────┘
 //! ```
 //!
 //! Every iteration `poll(2)`s the listener, the wakeup pipe, and every
 //! connection; readable connections feed a buffering [`FrameReader`],
 //! complete frames queue per-connection as *pending* work, and a pump
-//! either answers them inline ([`Service::handle_cached`] — control
-//! ops and cache hits) or collects them into one **dispatch batch**
-//! submitted to the worker queue under a single lock. Workers push
-//! completions and write one coalesced byte into the wakeup pipe, so a
-//! slow compile never blocks the loop and a cache hit on any
-//! connection is answered in the iteration it arrives.
+//! either answers them inline ([`Service::classify`] — control ops and
+//! cache hits) or collects them into one **dispatch batch** submitted
+//! to the compile pool under a single lock. Workers push completions
+//! and write one coalesced byte into the wakeup pipe, so a slow compile
+//! never blocks the loop and a cache hit on any connection is answered
+//! in the iteration it arrives.
+//!
+//! **Admission control.** The pool is the daemon's only one: its size
+//! and queue bound are [`ServeOptions::workers`] and
+//! [`ServeOptions::queue_capacity`], and whatever part of a batch the
+//! full queue refuses is answered `overloaded` at once. Every frame is
+//! stamped with its arrival instant, and a dispatched request's
+//! deadline and latency sample count from it ([`Service::handle_at`]),
+//! so time spent queued is charged to the request.
 //!
 //! **Ordering.** Tagged requests (protocol v2) may be answered out of
 //! order — the tag is the correlation. An untagged request is a full
@@ -81,11 +89,11 @@ pub struct ServeOptions {
     /// Most parsed-but-unanswered frames per connection; reads pause at
     /// the cap (backpressure, not an error).
     pub max_pipeline: usize,
-    /// Dispatch worker threads (0 = derive from the service config).
-    pub dispatch_workers: usize,
-    /// Dispatch queue bound; ready requests past it are shed with
-    /// `overloaded` responses (0 = default).
-    pub dispatch_queue: usize,
+    /// Compile-pool worker threads (clamped to at least 1).
+    pub workers: usize,
+    /// Compile-pool queue bound; ready requests past it are shed with
+    /// `overloaded` responses (clamped to at least 1).
+    pub queue_capacity: usize,
     /// Sibling daemons sharing the key space. On a local+disk miss the
     /// key's rendezvous owner is asked for its artifact (`peer_get`)
     /// before compiling locally; every daemon must list the same fleet
@@ -102,8 +110,8 @@ impl Default for ServeOptions {
             max_connections: crate::server::MAX_CONNECTIONS,
             outq_bytes: 8 << 20,
             max_pipeline: 128,
-            dispatch_workers: 0,
-            dispatch_queue: 0,
+            workers: std::thread::available_parallelism().map_or(2, |n| n.get()).clamp(2, 8),
+            queue_capacity: 256,
             peers: Vec::new(),
             peer_timeout_ms: 1500,
         }
@@ -210,7 +218,7 @@ const HOT_MAX_ENTRIES: usize = 2048;
 /// construction — the entire per-request CPU cost of a warm compile —
 /// leaving a hash lookup and a buffer clone. Entries are seeded only
 /// from artifact-cache hits, so the stored body is exactly what
-/// [`Service::handle_cached`] would have produced.
+/// [`Service::classify`] would have produced.
 ///
 /// Every entry is stamped with the service's rule-set generation
 /// ([`Service::rules_generation`]); the loop refreshes `gen` each
@@ -254,8 +262,8 @@ impl HotCache {
 /// What one pending frame still needs.
 enum Work {
     /// A hot-memo hit: the finished response body (tag already
-    /// embedded) and the arrival instant for the latency ring.
-    Hot(String, Instant),
+    /// embedded).
+    Hot(String),
     /// A decoded request, or the transport-level error to answer with.
     Parsed(Result<Request, ServiceError>),
 }
@@ -272,6 +280,8 @@ struct PendingFrame {
     /// The frame's raw bytes, kept for compile requests so a
     /// cache-hit response can seed the hot memo.
     raw: Option<Vec<u8>>,
+    /// When the frame was read: deadlines and latencies count from it.
+    arrived: Instant,
 }
 
 /// Per-connection state machine.
@@ -335,6 +345,7 @@ impl Conn {
             work: Work::Parsed(Err(e)),
             close_after: fatal,
             raw: None,
+            arrived: Instant::now(),
         });
         if fatal {
             self.draining = true;
@@ -346,13 +357,15 @@ impl Conn {
     /// (tag errors become an inline error reply; the framing itself is
     /// still intact, while undecodable bytes are fatal).
     fn ingest(&mut self, raw: Vec<u8>, hot: &HotCache) {
+        let arrived = Instant::now();
         if let Some(entry) = hot.get(&raw) {
             self.pending.push_back(PendingFrame {
                 untagged: entry.untagged,
                 tag: None,
-                work: Work::Hot(entry.body.clone(), Instant::now()),
+                work: Work::Hot(entry.body.clone()),
                 close_after: false,
                 raw: None,
+                arrived,
             });
             return;
         }
@@ -371,6 +384,7 @@ impl Conn {
                     work: Work::Parsed(work),
                     close_after: false,
                     raw: memoizable.then_some(raw),
+                    arrived,
                 });
             }
             Err(e) => self.ingest_error(e, false),
@@ -485,12 +499,14 @@ impl Conn {
     }
 }
 
-/// One ready request bound for a dispatch worker.
+/// One ready request bound for a compile-pool worker.
 struct DispatchItem {
     conn: u64,
     tag: Option<Json>,
     untagged: bool,
     req: Request,
+    /// The frame's arrival, passed on to [`Service::handle_at`].
+    arrived: Instant,
 }
 
 /// A finished dispatched request on its way back to the loop.
@@ -762,10 +778,11 @@ fn pump(
             return;
         }
         let f = conn.pending.pop_front().expect("front exists");
+        let arrived = f.arrived;
         match f.work {
-            Work::Hot(body, arrived) => {
-                // Same accounting as the handle_cached hit this entry
-                // was seeded from, plus the memo's own counter.
+            Work::Hot(body) => {
+                // Same accounting as the classify hit this entry was
+                // seeded from, plus the memo's own counter.
                 let stats = service.stats();
                 Stats::bump(&stats.requests);
                 Stats::bump(&stats.cache_hits);
@@ -810,7 +827,7 @@ fn pump(
                         if untagged {
                             conn.serial_block = true;
                         }
-                        let item = DispatchItem { conn: id, tag: f.tag, untagged, req };
+                        let item = DispatchItem { conn: id, tag: f.tag, untagged, req, arrived };
                         match decision {
                             CacheDecision::MissRemote(key) if forward => {
                                 remote.push((key, item));
@@ -836,15 +853,10 @@ pub(crate) fn run(
 ) -> io::Result<()> {
     let (mut wake_rx, waker) = wake_pipe()?;
     let shared = Arc::new(DispatchShared { completions: Mutex::new(Vec::new()), waker });
-    let workers = match opts.dispatch_workers {
-        0 => service.config().workers.max(2),
-        n => n,
-    };
-    let queue_bound = match opts.dispatch_queue {
-        0 => (opts.max_connections * 2).max(256),
-        n => n,
-    };
-    let dispatch = TaskQueue::new(workers, queue_bound);
+    let dispatch = TaskQueue::new(opts.workers, opts.queue_capacity);
+    let stats = service.stats();
+    Stats::set(&stats.workers, dispatch.workers() as u64);
+    Stats::set(&stats.queue_capacity, dispatch.capacity() as u64);
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut hot = HotCache::new(service.rules_generation());
@@ -931,7 +943,6 @@ pub(crate) fn run(
         // admitted its artifact, so those items hit the now-warm cache.
         let mut ready: Vec<DispatchItem> = Vec::new();
         let now = Instant::now();
-        let stats = service.stats();
         for (j, &pi) in peer_order.iter().enumerate() {
             let pf = &fds[peer_base + j];
             let (failed, readable, writable) = (pf.failed(), pf.readable(), pf.writable());
@@ -1046,7 +1057,7 @@ pub(crate) fn run(
 
         // ── dispatch the batch under one queue lock ─────────────────
         if !batch.is_empty() {
-            Stats::record_max(&service.stats().dispatch_batch_max, batch.len() as u64);
+            Stats::record_max(&stats.dispatch_batch_max, batch.len() as u64);
             let meta: Vec<(u64, Option<Json>, bool)> =
                 batch.iter().map(|it| (it.conn, it.tag.clone(), it.untagged)).collect();
             let tasks: Vec<Task> = batch
@@ -1055,7 +1066,7 @@ pub(crate) fn run(
                     let service = Arc::clone(service);
                     let shared = Arc::clone(&shared);
                     Box::new(move || {
-                        let reply = service.handle_local(&it.req);
+                        let reply = service.handle_at(&it.req, it.arrived);
                         shared.completions.lock().expect("completion lock").push(Completion {
                             conn: it.conn,
                             tag: it.tag,
@@ -1067,16 +1078,16 @@ pub(crate) fn run(
                 })
                 .collect();
             let admitted = dispatch.submit_batch(tasks);
-            // Whatever the bounded queue refused is shed right here,
-            // with the same accounting `Service::handle` would use.
+            // Whatever the bounded queue refused is shed right here:
+            // counted as a request and a shed, answered `overloaded`.
             for (conn_id, tag, untagged) in meta.into_iter().skip(admitted) {
                 if let Some(conn) = conns.get_mut(&conn_id) {
                     conn.inflight -= 1;
                     if untagged {
                         conn.serial_block = false;
                     }
-                    Stats::bump(&service.stats().requests);
-                    Stats::bump(&service.stats().sheds);
+                    Stats::bump(&stats.requests);
+                    Stats::bump(&stats.sheds);
                     conn.queue_reply(
                         FastReply::Json(error_response(&ServiceError::Overloaded)),
                         tag.as_ref(),
@@ -1092,17 +1103,18 @@ pub(crate) fn run(
 
         // ── close finished connections, refresh gauges ──────────────
         conns.retain(|_, c| !c.should_close());
-        let stats = service.stats();
         Stats::set(&stats.open_connections, conns.len() as u64);
         Stats::set(&stats.inflight_frames, conns.values().map(|c| c.inflight as u64).sum());
-        Stats::set(&stats.dispatch_queue_depth, dispatch.depth() as u64);
+        Stats::set(&stats.queue_depth, dispatch.depth() as u64);
     }
 
     // Late completions after the drain window are dropped with the
     // queue (its Drop runs admitted tasks to completion first).
     drop(dispatch);
-    Stats::set(&service.stats().open_connections, 0);
-    Stats::set(&service.stats().inflight_frames, 0);
-    Stats::set(&service.stats().dispatch_queue_depth, 0);
+    Stats::set(&stats.open_connections, 0);
+    Stats::set(&stats.inflight_frames, 0);
+    Stats::set(&stats.queue_depth, 0);
+    Stats::set(&stats.queue_capacity, 0);
+    Stats::set(&stats.workers, 0);
     Ok(())
 }

@@ -13,10 +13,12 @@
 //!   in bytes with LRU eviction;
 //! * **single-flight deduplication** — N concurrent identical requests
 //!   cost one compile, and everyone shares the same `Arc<Artifact>`;
-//! * **admission control and deadlines** ([`service`]) — compiles run
-//!   on a bounded worker queue (full queue ⇒ `overloaded`), and a
-//!   request's `timeout_ms` is checked between compiler phases, so an
-//!   expired request stops selecting instructions instead of finishing
+//! * **admission control** ([`eventloop`]) — the daemon's one compile
+//!   pool has a bounded queue, and requests past it are answered
+//!   `overloaded`;
+//! * **deadlines** ([`service`]) — a request's `timeout_ms` runs from
+//!   its arrival and is checked between compiler phases, so an expired
+//!   request stops selecting instructions instead of finishing
 //!   pointlessly;
 //! * a **`stats` endpoint** — hit/miss/shed/timeout counters, queue
 //!   depth, and p50/p99 service latencies.

@@ -278,8 +278,6 @@ mod tests {
     fn start(endpoint: Endpoint) -> std::thread::JoinHandle<io::Result<()>> {
         let svc = Arc::new(Service::new(ServiceConfig {
             cache_bytes: 8 << 20,
-            workers: 2,
-            queue_capacity: 8,
             default_timeout_ms: None,
             cache_dir: None,
             cache_max_bytes: None,

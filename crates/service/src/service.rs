@@ -1,19 +1,20 @@
 //! The service core: everything `pitchforkd` does, minus the sockets.
 //!
 //! [`Service::handle`] maps one parsed [`Request`] to one JSON
-//! response, and is safe to call from any number of threads at once.
-//! The pieces:
+//! response on the calling thread, and is safe to call from any number
+//! of threads at once. The service owns no threads: the event loop
+//! ([`crate::eventloop`]) runs the one bounded compile pool and does
+//! admission control, shedding requests past its queue bound with
+//! [`ServiceError::Overloaded`]. The pieces:
 //!
 //! * a **selector registry** — one warm [`Pitchfork`] (rule sets loaded
 //!   and indexed) per distinct compiler configuration, built on first
 //!   use and kept for the life of the server;
 //! * the **artifact cache** — content-addressed, byte-bounded LRU with
 //!   single-flight deduplication ([`crate::cache`]);
-//! * **admission control** — cache-missing compilations run on a
-//!   bounded [`TaskQueue`]; when the queue is full the request is shed
-//!   with [`ServiceError::Overloaded`] instead of piling on;
-//! * **deadlines** — a request's `timeout_ms` covers queueing and
-//!   compiling; the compile checks it between pipeline phases via the
+//! * **deadlines** — a request's `timeout_ms` runs from its arrival
+//!   ([`Service::handle_at`]), so it covers queueing and compiling; the
+//!   compile checks it between pipeline phases via the
 //!   driver's cancellation hook, and flight waiters time out
 //!   independently while the flight continues for the others.
 //!
@@ -32,12 +33,10 @@ use crate::store::{self, DiskStore, Lookup};
 use fpir::expr::RcExpr;
 use fpir::interp::{Env, Value};
 use fpir_halide::{run_tiled_exe, Image, Pipeline};
-use fpir_pool::TaskQueue;
 use pitchfork::{compile_to_executable_with, Artifact, Config, DriverError, Pitchfork};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -46,10 +45,6 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Artifact-cache byte budget.
     pub cache_bytes: usize,
-    /// Compile worker threads.
-    pub workers: usize,
-    /// Bounded compile-queue capacity (admission control).
-    pub queue_capacity: usize,
     /// Deadline applied when a request doesn't carry its own.
     pub default_timeout_ms: Option<u64>,
     /// Spill directory for the on-disk artifact store. `None` disables
@@ -67,11 +62,8 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(8);
         ServiceConfig {
             cache_bytes: 64 << 20,
-            workers,
-            queue_capacity: workers * 8,
             default_timeout_ms: None,
             cache_dir: None,
             cache_max_bytes: None,
@@ -92,15 +84,6 @@ struct Selector {
 /// The part of a [`CompileSpec`] that picks a selector (everything but
 /// the expression and the deadline).
 type SelectorKey = (fpir::Isa, (bool, bool, bool), bool, Option<String>);
-
-/// Where a cache-missing compilation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Compiler {
-    /// On the service's internal bounded queue (direct callers).
-    Queued,
-    /// On the calling thread (the event loop's dispatch workers).
-    Inline,
-}
 
 /// What the cache stores for one key: the driver's artifact plus the
 /// response strings rendered once at insert time, so a cache hit clones
@@ -165,14 +148,14 @@ pub enum CacheDecision {
     MissRemote(CacheKey),
 }
 
-/// The concurrent compile-and-run service.
+/// The concurrent compile-and-run service: a thread-free, synchronous
+/// request handler.
 #[derive(Debug)]
 pub struct Service {
     config: ServiceConfig,
     selectors: Mutex<HashMap<SelectorKey, Arc<Selector>>>,
     cache: Cache<CacheKey, Served, ServiceError>,
     store: Option<DiskStore>,
-    queue: TaskQueue,
     stats: Stats,
     /// Monotonic rule-set generation. Anything memoizing *rendered
     /// responses* outside the cache (the event loop's hot-request memo)
@@ -203,7 +186,6 @@ impl Service {
         });
         let svc = Service {
             cache: Cache::new(config.cache_bytes),
-            queue: TaskQueue::new(config.workers, config.queue_capacity),
             stats: Stats::new(),
             selectors: Mutex::new(HashMap::new()),
             store,
@@ -245,11 +227,6 @@ impl Service {
         svc
     }
 
-    /// The configuration the service was built with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// The request counters (shared with the server's `/stats`).
     pub fn stats(&self) -> &Stats {
         &self.stats
@@ -258,11 +235,6 @@ impl Service {
     /// Cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Compile tasks currently queued (admission-control depth).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
     }
 
     /// The current rule-set generation (see the field doc on
@@ -299,28 +271,27 @@ impl Service {
         s
     }
 
-    /// Handle one request, returning the response frame. Never panics
-    /// on request content; all failures become `{"ok": false}` frames.
-    /// Cache-missing compilations run on the service's internal bounded
-    /// worker queue (admission control for direct in-process callers).
+    /// Handle one request that arrived just now, returning the response
+    /// frame. See [`handle_at`](Self::handle_at).
     pub fn handle(&self, req: &Request) -> Json {
-        self.handle_on(req, Compiler::Queued)
+        self.handle_at(req, Instant::now())
     }
 
-    /// Like [`handle`](Self::handle), but cache-missing compilations run
-    /// inline on the calling thread. The event loop's dispatch workers
-    /// use this: the request already sits on a bounded worker, and
-    /// hopping through the internal compile queue again would only add
-    /// latency (and a second admission gate). Single-flight
-    /// deduplication still applies — concurrent identical requests share
-    /// one inline compile.
+    /// An alias of [`handle`](Self::handle), kept only because the
+    /// benchmark's serve workload (`perfbench/src/serve.rs`) calls it.
     pub fn handle_local(&self, req: &Request) -> Json {
-        self.handle_on(req, Compiler::Inline)
+        self.handle(req)
     }
 
-    fn handle_on(&self, req: &Request, compiler: Compiler) -> Json {
+    /// Handle one request that arrived at `arrived`, returning the
+    /// response frame. Cache-missing compilations run on the calling
+    /// thread; single-flight deduplication still makes concurrent
+    /// identical requests share one compile. The request's deadline and
+    /// its latency sample both count from `arrived`, so time spent
+    /// queued before this call is charged to the request. Never panics
+    /// on request content; all failures become `{"ok": false}` frames.
+    pub fn handle_at(&self, req: &Request, arrived: Instant) -> Json {
         Stats::bump(&self.stats.requests);
-        let started = Instant::now();
         let out = match req {
             Request::Ping => Ok(ok_response(vec![("pong".into(), Json::Bool(true))])),
             Request::Stats { format } => Ok(match format {
@@ -335,26 +306,14 @@ impl Service {
                 // acknowledges it.
                 Ok(ok_response(vec![("stopping".into(), Json::Bool(true))]))
             }
-            Request::Compile(spec) => self.handle_compile(spec, compiler),
-            Request::Run { spec, inputs } => self.handle_run(spec, inputs, compiler),
+            Request::Compile(spec) => self.handle_compile(spec, arrived),
+            Request::Run { spec, inputs } => self.handle_run(spec, inputs, arrived),
             Request::RunPipeline { spec, inputs, jobs } => {
-                self.handle_run_pipeline(spec, inputs, *jobs, compiler)
+                self.handle_run_pipeline(spec, inputs, *jobs, arrived)
             }
-            Request::PeerGet { spec, rules_fp } => self.handle_peer_get(spec, *rules_fp, compiler),
+            Request::PeerGet { spec, rules_fp } => self.handle_peer_get(spec, *rules_fp, arrived),
         };
-        self.finish(started, out)
-    }
-
-    /// Answer a request from warm state only, without ever blocking on
-    /// a compile: `None` means "dispatch this to a worker". The event
-    /// loop calls [`classify`](Self::classify) for the same decision
-    /// plus the miss's cache key (for peer forwarding); this wrapper
-    /// keeps the simpler reply-or-dispatch view.
-    pub fn handle_cached(&self, req: &Request) -> Option<FastReply> {
-        match self.classify(req) {
-            CacheDecision::Reply(r) => Some(r),
-            CacheDecision::Dispatch | CacheDecision::MissRemote(_) => None,
-        }
+        self.finish(arrived, out)
     }
 
     /// Classify one ready frame: answer it inline from warm state,
@@ -439,13 +398,13 @@ impl Service {
         }
     }
 
-    /// Parse the expression and fetch-or-compile its artifact. Also
-    /// returns the cache key's fingerprint (computed once here; the
-    /// response members echo it).
+    /// Parse the expression and fetch-or-compile its artifact, with the
+    /// deadline counted from `arrived`. Also returns the cache key's
+    /// fingerprint (computed once here; the response members echo it).
     fn artifact(
         &self,
         spec: &CompileSpec,
-        compiler: Compiler,
+        arrived: Instant,
     ) -> Result<(RcExpr, u64, Arc<Served>, Source), ServiceError> {
         let expr = fpir::parser::parse_expr(&spec.expr, spec.lanes)
             .map_err(|e| ServiceError::BadRequest(format!("expression: {e}")))?;
@@ -461,7 +420,7 @@ impl Service {
         };
         let key_fp = key.fingerprint();
         let timeout_ms = spec.timeout_ms.or(self.config.default_timeout_ms);
-        let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+        let deadline = timeout_ms.map(|ms| arrived + Duration::from_millis(ms));
 
         let computed = self.cache.get_or_compute(&key, deadline, || {
             // The single-flight leader tries the disk store first: a
@@ -473,14 +432,7 @@ impl Service {
                 let bytes = served.approx_bytes();
                 return Ok((served, bytes));
             }
-            let r = match compiler {
-                Compiler::Queued => {
-                    self.compile_on_queue(&selector, &expr, key_fp, deadline, timeout_ms)
-                }
-                Compiler::Inline => {
-                    self.compile_now(&selector, &expr, key_fp, deadline, timeout_ms)
-                }
-            };
+            let r = self.compile_now(&selector, &expr, key_fp, deadline, timeout_ms);
             if let Ok((served, _)) = &r {
                 self.spill(&key, &served.art);
             }
@@ -502,39 +454,8 @@ impl Service {
         }
     }
 
-    /// The single-flight leader's compute: run the driver on a bounded
-    /// worker, enforcing admission control and the deadline.
-    fn compile_on_queue(
-        &self,
-        selector: &Arc<Selector>,
-        expr: &RcExpr,
-        key_fp: u64,
-        deadline: Option<Instant>,
-        timeout_ms: Option<u64>,
-    ) -> Result<(Served, usize), ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        let selector = selector.clone();
-        let expr = expr.clone();
-        self.queue
-            .try_submit(Box::new(move || {
-                // The deadline covers time spent queued: if the task
-                // starts too late, the first phase check cancels it.
-                let mut keep_going = |_p| deadline.is_none_or(|d| Instant::now() < d);
-                let r = compile_to_executable_with(&selector.pf, &expr, &mut keep_going);
-                let _ = tx.send(r.map(|(art, _)| art));
-            }))
-            .map_err(|_| ServiceError::Overloaded)?;
-        // The worker always sends (cancellation happens inside the
-        // compile), so this blocks at most until the task's next
-        // deadline check.
-        match rx.recv() {
-            Ok(r) => self.admit_artifact(r, key_fp, timeout_ms),
-            Err(_) => Err(ServiceError::Internal("compile worker disappeared".into())),
-        }
-    }
-
-    /// The single-flight leader's compute on the calling thread (the
-    /// event loop's dispatch workers — already bounded, no second hop).
+    /// The single-flight leader's compute, on the calling thread. An
+    /// already-expired deadline cancels it before the first phase.
     fn compile_now(
         &self,
         selector: &Arc<Selector>,
@@ -651,7 +572,7 @@ impl Service {
         &self,
         spec: &CompileSpec,
         rules_fp: u64,
-        compiler: Compiler,
+        arrived: Instant,
     ) -> Result<Json, ServiceError> {
         Stats::bump(&self.stats.peer_serves);
         let not_found = |reason: &str| {
@@ -675,7 +596,7 @@ impl Service {
             leave_out: spec.leave_out.clone(),
             rules_fp: selector.rules_fp,
         };
-        let (_, _, served, _) = self.artifact(spec, compiler)?;
+        let (_, _, served, _) = self.artifact(spec, arrived)?;
         match store::encode_artifact_json(&key, &served.art) {
             Ok(body) => {
                 Ok(ok_response(vec![("found".into(), Json::Bool(true)), ("artifact".into(), body)]))
@@ -705,8 +626,8 @@ impl Service {
         ]
     }
 
-    fn handle_compile(&self, spec: &CompileSpec, compiler: Compiler) -> Result<Json, ServiceError> {
-        let (_, key_fp, served, source) = self.artifact(spec, compiler)?;
+    fn handle_compile(&self, spec: &CompileSpec, arrived: Instant) -> Result<Json, ServiceError> {
+        let (_, key_fp, served, source) = self.artifact(spec, arrived)?;
         Ok(ok_response(Self::compile_members(key_fp, &served, source)))
     }
 
@@ -714,9 +635,9 @@ impl Service {
         &self,
         spec: &CompileSpec,
         inputs: &[(String, Vec<i128>)],
-        compiler: Compiler,
+        arrived: Instant,
     ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec, compiler)?;
+        let (expr, key_fp, served, source) = self.artifact(spec, arrived)?;
         self.run_response(&expr, key_fp, &served, source, inputs)
     }
 
@@ -776,9 +697,9 @@ impl Service {
         spec: &CompileSpec,
         inputs: &[(String, ImageSpec)],
         jobs: usize,
-        compiler: Compiler,
+        arrived: Instant,
     ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec, compiler)?;
+        let (expr, key_fp, served, source) = self.artifact(spec, arrived)?;
         let pipe = Pipeline::try_new("served", expr.clone())
             .map_err(|e| ServiceError::BadRequest(e.what))?;
         let mut images = BTreeMap::new();
@@ -836,18 +757,14 @@ impl Service {
             ("cache_resident_count".into(), Json::Int(c.resident_count as i128)),
             ("cache_evictions".into(), Json::Int(c.evictions as i128)),
             ("cache_budget_bytes".into(), Json::Int(self.cache.budget_bytes() as i128)),
-            ("queue_depth".into(), Json::Int(self.queue.depth() as i128)),
-            ("queue_capacity".into(), Json::Int(self.queue.capacity() as i128)),
-            ("workers".into(), Json::Int(self.queue.workers() as i128)),
+            ("queue_depth".into(), Json::Int(Stats::read(&self.stats.queue_depth).into())),
+            ("queue_capacity".into(), Json::Int(Stats::read(&self.stats.queue_capacity).into())),
+            ("workers".into(), Json::Int(Stats::read(&self.stats.workers).into())),
             (
                 "open_connections".into(),
                 Json::Int(Stats::read(&self.stats.open_connections).into()),
             ),
             ("inflight_frames".into(), Json::Int(Stats::read(&self.stats.inflight_frames).into())),
-            (
-                "dispatch_queue_depth".into(),
-                Json::Int(Stats::read(&self.stats.dispatch_queue_depth).into()),
-            ),
             (
                 "dispatch_batch_max".into(),
                 Json::Int(Stats::read(&self.stats.dispatch_batch_max).into()),
@@ -889,8 +806,6 @@ mod tests {
     fn service() -> Service {
         Service::new(ServiceConfig {
             cache_bytes: 16 << 20,
-            workers: 2,
-            queue_capacity: 8,
             default_timeout_ms: None,
             cache_dir: None,
             cache_max_bytes: None,
@@ -1071,24 +986,19 @@ mod tests {
     #[test]
     fn tiny_deadline_times_out_and_cache_stays_consistent() {
         let svc = service();
-        // A 1 ms budget that is already spent by the time the compile
-        // task reaches its first phase check. (The queue wait plus
-        // selector lookup comfortably exceeds it.)
-        let req = format!(
+        // A 1 ms budget already spent on arrival (the request "waited"
+        // 2 ms before this call): the compile is cancelled before its
+        // first phase.
+        let src = format!(
             r#"{{"op":"compile","expr":"{SAT_ADD}","lanes":16,"isa":"x86","timeout_ms":1}}"#
         );
-        // Burn the budget deterministically: the deadline is computed at
-        // admission, so sleeping 2 ms inside the phase hook isn't
-        // possible from here — instead rely on the first check seeing an
-        // expired deadline only if the machine is slow. Accept either
-        // outcome, but in both cases the cache must stay consistent.
-        let v = handle_src(&svc, &req);
-        let ok = v.get("ok").unwrap().as_bool() == Some(true);
-        if !ok {
-            assert_eq!(v.get("code").unwrap().as_str(), Some("timeout"));
-        }
-        // Either way, a follow-up request with a sane budget succeeds
-        // and matches the direct compiler.
+        let req = parse_request(&crate::json::parse(&src).unwrap()).unwrap();
+        let v = svc.handle_at(&req, Instant::now() - Duration::from_millis(2));
+        assert_eq!(v.get("code").unwrap().as_str(), Some("timeout"), "{v:?}");
+        assert_eq!(Stats::read(&svc.stats().compiles), 0);
+        assert_eq!(Stats::read(&svc.stats().timeouts), 1);
+        // A follow-up request with a sane budget succeeds and matches
+        // the direct compiler.
         let v2 = handle_src(
             &svc,
             &format!(r#"{{"op":"compile","expr":"{SAT_ADD}","lanes":16,"isa":"x86"}}"#),

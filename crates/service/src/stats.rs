@@ -61,9 +61,15 @@ pub struct Stats {
     pub open_connections: AtomicU64,
     /// Frames dispatched to workers but not yet answered (gauge).
     pub inflight_frames: AtomicU64,
-    /// Depth of the event loop's dispatch queue (gauge, sampled once
-    /// per loop iteration).
-    pub dispatch_queue_depth: AtomicU64,
+    /// Requests waiting in the compile pool's queue (gauge, sampled
+    /// once per event-loop iteration).
+    pub queue_depth: AtomicU64,
+    /// The compile pool's queue bound (gauge; 0 while no event loop
+    /// runs).
+    pub queue_capacity: AtomicU64,
+    /// The compile pool's worker threads (gauge; 0 while no event loop
+    /// runs).
+    pub workers: AtomicU64,
     /// Largest batch of ready requests dispatched in one loop
     /// iteration (high-water mark).
     pub dispatch_batch_max: AtomicU64,

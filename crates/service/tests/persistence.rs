@@ -21,8 +21,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn config(dir: &Path, cache_bytes: usize) -> ServiceConfig {
     ServiceConfig {
         cache_bytes,
-        workers: 2,
-        queue_capacity: 16,
         default_timeout_ms: None,
         cache_dir: Some(dir.to_path_buf()),
         cache_max_bytes: None,

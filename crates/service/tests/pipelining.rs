@@ -1,6 +1,7 @@
 //! End-to-end tests of protocol v2 pipelining against a live event-loop
 //! server: out-of-order completion on one connection, fairness across
-//! connections, and the bounded-output-queue overload close.
+//! connections, the bounded-output-queue overload close, the compile
+//! pool's queue bound, and deadlines that count from frame arrival.
 //!
 //! Determinism notes. `run_pipeline` requests are *always* dispatched
 //! to the worker pool (whole-image runs are real work even when the
@@ -14,6 +15,7 @@
 use pitchfork_service::{
     serve_with, write_frame, Client, Endpoint, Json, ServeOptions, Service, ServiceConfig,
 };
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -28,8 +30,6 @@ fn start(path: &Path, opts: ServeOptions) -> std::thread::JoinHandle<io::Result<
     let _ = std::fs::remove_file(path);
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 8 << 20,
-        workers: 2,
-        queue_capacity: 64,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -80,6 +80,30 @@ fn image_run(tag: &str, rows: usize, cols: usize) -> Json {
 
 fn read_one(stream: &mut UnixStream) -> Option<Json> {
     pitchfork_service::read_frame(stream).unwrap()
+}
+
+/// Read `n` tagged responses, keyed by tag.
+fn read_tagged(stream: &mut UnixStream, n: usize) -> HashMap<String, Json> {
+    (0..n)
+        .map(|_| {
+            let v = read_one(stream).expect("a response per request");
+            let tag = v.get("tag").and_then(Json::as_str).expect("tagged response").to_string();
+            (tag, v)
+        })
+        .collect()
+}
+
+fn stats(path: &Path) -> Json {
+    client_with_retry(path).request(&parse(r#"{"op":"stats"}"#)).unwrap()
+}
+
+fn stat(stats: &Json, name: &str) -> i128 {
+    stats.get(name).and_then(Json::as_int).unwrap_or_else(|| panic!("no `{name}`: {stats:?}"))
+}
+
+/// A saturating add clamped at `limit`: a distinct cache key per limit.
+fn clamped_add(limit: u32) -> String {
+    format!("u8(min(u16(a_u8) + u16(b_u8), {limit}))")
 }
 
 #[test]
@@ -175,6 +199,89 @@ fn pipelining_past_the_output_budget_closes_with_overloaded() {
     // end-of-stream, not a hang.
     let mut probe = [0u8; 1];
     assert_eq!(stream.read(&mut probe).unwrap(), 0, "clean close after the seal");
+
+    drop(stream);
+    shutdown(&path);
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn deadline_counts_from_frame_arrival() {
+    let path = sock("deadline");
+    let server = start(&path, ServeOptions { workers: 1, ..ServeOptions::default() });
+    let mut stream = connect_with_retry(&path);
+
+    // The only worker takes the image run (~50 ms in a release build,
+    // several times that in debug); the compile behind it waits in the
+    // queue for longer than its whole 20 ms budget, so it must be
+    // cancelled before its first phase.
+    let mut burst = Vec::new();
+    write_frame(&mut burst, &image_run("slow", 256, 2048)).unwrap();
+    let late = format!(
+        r#"{{"op":"compile","expr":"{}","lanes":16,"isa":"arm","timeout_ms":20,"tag":"late"}}"#,
+        clamped_add(200)
+    );
+    write_frame(&mut burst, &parse(&late)).unwrap();
+    stream.write_all(&burst).unwrap();
+
+    let by_tag = read_tagged(&mut stream, 2);
+    assert_eq!(by_tag["slow"].get("ok").and_then(Json::as_bool), Some(true), "{by_tag:?}");
+    let late = &by_tag["late"];
+    assert_eq!(late.get("code").and_then(Json::as_str), Some("timeout"), "{late:?}");
+    let st = stats(&path);
+    assert_eq!(stat(&st, "compiles"), 1, "only the image run's expression compiles: {st:?}");
+    assert_eq!(stat(&st, "timeouts"), 1, "{st:?}");
+
+    drop(stream);
+    shutdown(&path);
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn queue_capacity_bounds_the_daemon_and_stats_report_the_pool() {
+    let path = sock("bound");
+    let opts = ServeOptions { workers: 1, queue_capacity: 2, ..ServeOptions::default() };
+    let server = start(&path, opts);
+    let mut stream = connect_with_retry(&path);
+
+    // The image run keeps the only worker busy while 16 distinct-key
+    // compiles arrive: at most two of them fit in the queue.
+    const N: u32 = 16;
+    let mut burst = Vec::new();
+    write_frame(&mut burst, &image_run("slow", 64, 512)).unwrap();
+    for i in 0..N {
+        let req = format!(
+            r#"{{"op":"compile","expr":"{}","lanes":16,"isa":"arm","tag":"c{i}"}}"#,
+            clamped_add(200 + i)
+        );
+        write_frame(&mut burst, &parse(&req)).unwrap();
+    }
+    stream.write_all(&burst).unwrap();
+
+    let by_tag = read_tagged(&mut stream, N as usize + 1);
+    assert_eq!(by_tag["slow"].get("ok").and_then(Json::as_bool), Some(true), "{by_tag:?}");
+    let pf = pitchfork::Pitchfork::new(fpir::Isa::ArmNeon);
+    let mut shed = 0;
+    for i in 0..N {
+        let v = &by_tag[&format!("c{i}")];
+        if v.get("code").and_then(Json::as_str) == Some("overloaded") {
+            shed += 1;
+            continue;
+        }
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+        let e = fpir::parser::parse_expr(&clamped_add(200 + i), 16).unwrap();
+        let direct = pitchfork::compile_to_executable(&pf, &e).unwrap();
+        let lowered = direct.lowered.to_string();
+        let program = direct.program.render();
+        assert_eq!(v.get("lowered").and_then(Json::as_str), Some(lowered.as_str()));
+        assert_eq!(v.get("program").and_then(Json::as_str), Some(program.as_str()));
+        assert_eq!(v.get("cycles").and_then(Json::as_int), Some(direct.cycles.into()));
+    }
+    assert!(shed > 0, "a queue bound of 2 must shed some of {N} compiles");
+    let st = stats(&path);
+    assert_eq!(stat(&st, "sheds"), shed, "{st:?}");
+    assert_eq!(stat(&st, "workers"), 1, "{st:?}");
+    assert_eq!(stat(&st, "queue_capacity"), 2, "{st:?}");
 
     drop(stream);
     shutdown(&path);

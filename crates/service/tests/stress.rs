@@ -17,6 +17,7 @@ use pitchfork::{compile_to_executable, Pitchfork};
 use pitchfork_service::protocol::CompileSpec;
 use pitchfork_service::{Json, Request, Service, ServiceConfig, Stats};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 /// The distinct (expression, isa) combos the stress tests request.
 /// x86 and ARM support every workload (HVX lacks 64-bit lanes, which
@@ -64,8 +65,6 @@ fn duplicate_storm_is_deduplicated_and_bit_identical() {
 
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 256 << 20, // roomy: nothing should evict
-        workers: 4,
-        queue_capacity: 64,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -129,8 +128,6 @@ fn tiny_budget_thrashes_but_never_serves_a_wrong_artifact() {
     // request recompiles. Correctness must be unaffected.
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 512,
-        workers: 4,
-        queue_capacity: 64,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -175,8 +172,6 @@ fn tiny_budget_thrashes_but_never_serves_a_wrong_artifact() {
 fn run_responses_match_direct_execution() {
     let svc = Service::new(ServiceConfig {
         cache_bytes: 64 << 20,
-        workers: 2,
-        queue_capacity: 16,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -213,12 +208,8 @@ fn run_responses_match_direct_execution() {
 
 #[test]
 fn expired_deadline_is_a_structured_timeout_and_cache_stays_consistent() {
-    // One worker: a slow compile in front guarantees the deadlined
-    // request is still queued when its budget expires.
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 64 << 20,
-        workers: 1,
-        queue_capacity: 16,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -228,24 +219,21 @@ fn expired_deadline_is_a_structured_timeout_and_cache_stays_consistent() {
     let (slow_expr, slow_isa) = combos.last().unwrap().clone();
     let (fast_expr, fast_isa) = combos.first().unwrap().clone();
 
+    // A slow compile runs on another thread while the deadlined request
+    // is handled as if it had waited 5 ms in a queue: its 1 ms budget
+    // is spent on arrival, so it is cancelled before its first phase.
     let slow = {
         let svc = svc.clone();
         let e = slow_expr.clone();
         std::thread::spawn(move || svc.handle(&Request::Compile(spec(&e, slow_isa, None))))
     };
-    // Let the slow compile occupy the only worker, then race a 1 ms
-    // deadline against a queue that can't drain it in time.
-    std::thread::sleep(std::time::Duration::from_millis(5));
-    let v = svc.handle(&Request::Compile(spec(&fast_expr, fast_isa, Some(1))));
-    let timed_out = get(&v, "ok").as_bool() == Some(false);
-    if timed_out {
-        assert_eq!(get(&v, "code").as_str(), Some("timeout"), "{v:?}");
-        assert!(Stats::read(&svc.stats().timeouts) >= 1);
-    }
-    // Whether or not the race produced the timeout (a fast machine may
-    // finish the slow compile first), the cache must stay consistent:
-    // the same request with a sane budget succeeds and matches the
-    // direct compiler.
+    let arrived = Instant::now() - Duration::from_millis(5);
+    let v = svc.handle_at(&Request::Compile(spec(&fast_expr, fast_isa, Some(1))), arrived);
+    assert_eq!(get(&v, "ok").as_bool(), Some(false), "{v:?}");
+    assert_eq!(get(&v, "code").as_str(), Some("timeout"), "{v:?}");
+    assert_eq!(Stats::read(&svc.stats().timeouts), 1);
+    // The cache must stay consistent: the same request with a sane
+    // budget succeeds and matches the direct compiler.
     let ok = svc.handle(&Request::Compile(spec(&fast_expr, fast_isa, Some(60_000))));
     assert_eq!(get(&ok, "ok").as_bool(), Some(true), "{ok:?}");
     let (lowered, program, _) = direct(&fast_expr, fast_isa);

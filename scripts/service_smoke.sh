@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Service smoke test: start pitchforkd on a Unix socket, drive a
-# compile + run + stats round-trip with pitchfork-cli, verify the
+# compile + run + stats round-trip with pitchfork-cli, check that
+# `--workers 2` runs exactly two worker threads, verify the
 # second compile of the same key is a cache hit, exercise protocol v2
 # (a tagged compile, a pipelined three-request exchange, and the
 # Prometheus-style stats rendering), then assert a clean shutdown on
@@ -69,6 +70,13 @@ CLI="$TARGET/pitchfork-cli"
 echo "== ping"
 "$CLI" --socket "$SOCK" ping | grep -q '"pong":true' || fail "ping"
 
+echo "== one compile pool (--workers 2 starts exactly 2 worker threads)"
+# The pool starts before the loop answers its first ping. The kernel
+# truncates thread names to 15 bytes: pitchfork-worker-N reads back as
+# "pitchfork-worke".
+THREADS=$(cat /proc/"$PID"/task/*/comm | grep -c '^pitchfork-worke' || true)
+[ "$THREADS" -eq 2 ] || fail "daemon runs $THREADS worker threads, want 2"
+
 echo "== compile (cold)"
 OUT=$("$CLI" --socket "$SOCK" compile --expr "$EXPR" --lanes 16 --isa arm)
 echo "$OUT" | grep -q '"source":"computed"' || fail "first compile was not a miss: $OUT"
@@ -102,6 +110,7 @@ echo "== stats --text"
 OUT=$("$CLI" --socket "$SOCK" stats --text)
 echo "$OUT" | grep -q 'pitchforkd_requests' || fail "no text-format counters: $OUT"
 echo "$OUT" | grep -q 'pitchforkd_open_connections' || fail "no event-loop gauges: $OUT"
+echo "$OUT" | grep -q 'pitchforkd_workers 2' || fail "stats do not report the live pool: $OUT"
 
 echo "== SIGTERM"
 term_and_wait "$PID"
