@@ -49,16 +49,29 @@ impl From<TypeError> for ParseError {
     }
 }
 
+/// Deepest expression [`parse_expr`] accepts.
+///
+/// An expression's depth is the height of its parse tree: a variable or
+/// literal is one level, and every operator, call, cast, negation and
+/// pair of grouping parentheses adds one level above its deepest
+/// operand, so `(a_u8 + b_u8) * c_u8` is four deep. Every pass after
+/// the parser recurses over the tree, and so does the parser itself;
+/// the bound is what keeps an untrusted expression (a `pitchforkd`
+/// request) from overflowing a thread's stack. The deepest named
+/// workload is far shallower, and an expression at exactly this depth
+/// compiles on every backend on a default 2 MiB thread.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 /// Parse one expression; all vectors get `lanes` lanes.
 ///
 /// # Errors
 ///
 /// Fails on malformed syntax, unknown names, unresolvable literal types,
-/// or operand-type mismatches.
+/// operand-type mismatches, or nesting deeper than [`MAX_EXPR_DEPTH`].
 pub fn parse_expr(src: &str, lanes: u32) -> Result<RcExpr, ParseError> {
     let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0, lanes };
-    let ast = p.parse_bin(0)?;
+    let mut p = Parser { tokens, pos: 0, lanes, depth: 0 };
+    let (ast, _) = p.parse_bin(0)?;
     p.expect_end()?;
     let resolved = resolve(&ast, None, lanes)?
         .ok_or_else(|| ParseError::new("cannot infer the type of a bare constant"))?;
@@ -154,6 +167,22 @@ struct Parser {
     pos: usize,
     #[allow(dead_code)]
     lanes: u32,
+    /// Levels open above the token being parsed; each will be an
+    /// ancestor in the tree, so the count never exceeds its height.
+    depth: usize,
+}
+
+fn too_deep() -> ParseError {
+    ParseError::new(format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"))
+}
+
+/// The height of a node above children at most `height` deep, refused
+/// past [`MAX_EXPR_DEPTH`].
+fn level(height: usize) -> Result<usize, ParseError> {
+    if height >= MAX_EXPR_DEPTH {
+        return Err(too_deep());
+    }
+    Ok(height + 1)
 }
 
 impl Parser {
@@ -186,6 +215,16 @@ impl Parser {
         }
     }
 
+    /// Open one level before recursing into it, refusing past the bound
+    /// before the recursion itself can exhaust the stack.
+    fn open(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        Ok(())
+    }
+
     fn expect_end(&mut self) -> Result<(), ParseError> {
         if self.pos == self.tokens.len() {
             Ok(())
@@ -194,10 +233,12 @@ impl Parser {
         }
     }
 
-    /// Pratt parser over binary operators (comparisons lowest).
+    /// Pratt parser over binary operators (comparisons lowest). Returns
+    /// the tree and its height.
     #[allow(clippy::while_let_loop)]
-    fn parse_bin(&mut self, min_prec: u8) -> Result<Ast, ParseError> {
-        let mut lhs = self.parse_atom()?;
+    fn parse_bin(&mut self, min_prec: u8) -> Result<(Ast, usize), ParseError> {
+        self.open()?;
+        let (mut lhs, mut height) = self.parse_atom()?;
         loop {
             let (prec, kind) = match self.peek() {
                 Some(Tok::Sym(s)) => match *s {
@@ -225,36 +266,46 @@ impl Parser {
                 break;
             }
             self.bump();
-            let rhs = self.parse_bin(prec + 1)?;
+            let (rhs, rhs_height) = self.parse_bin(prec + 1)?;
+            // A left-leaning chain (`a + b + c + ...`) grows here, in a
+            // loop rather than by recursion.
+            height = level(height.max(rhs_height))?;
             lhs = match kind {
                 OpKind::Bin(op) => Ast::Bin(op, Box::new(lhs), Box::new(rhs)),
                 OpKind::Cmp(op) => Ast::Cmp(op, Box::new(lhs), Box::new(rhs)),
             };
         }
-        Ok(lhs)
+        self.depth -= 1;
+        Ok((lhs, height))
     }
 
-    fn parse_atom(&mut self) -> Result<Ast, ParseError> {
+    /// One operand and its height.
+    fn parse_atom(&mut self) -> Result<(Ast, usize), ParseError> {
         match self.bump() {
-            Some(Tok::Num(n)) => Ok(Ast::Num(n)),
-            Some(Tok::Sym("-")) => Ok(Ast::Neg(Box::new(self.parse_atom()?))),
+            Some(Tok::Num(n)) => Ok((Ast::Num(n), 1)),
+            Some(Tok::Sym("-")) => {
+                self.open()?;
+                let (inner, height) = self.parse_atom()?;
+                self.depth -= 1;
+                Ok((Ast::Neg(Box::new(inner)), level(height)?))
+            }
             Some(Tok::Sym("(")) => {
-                let inner = self.parse_bin(0)?;
+                let (inner, height) = self.parse_bin(0)?;
                 self.expect_sym(")")?;
-                Ok(inner)
+                Ok((inner, level(height)?))
             }
             Some(Tok::Ident(name)) => self.parse_ident(name),
             other => Err(ParseError::new(format!("unexpected token {other:?}"))),
         }
     }
 
-    fn parse_ident(&mut self, name: String) -> Result<Ast, ParseError> {
+    fn parse_ident(&mut self, name: String) -> Result<(Ast, usize), ParseError> {
         // Cast: `u16(expr)`.
         if let Some(t) = ScalarType::from_name(&name) {
             self.expect_sym("(")?;
-            let inner = self.parse_bin(0)?;
+            let (inner, height) = self.parse_bin(0)?;
             self.expect_sym(")")?;
-            return Ok(Ast::Cast(t, Box::new(inner)));
+            return Ok((Ast::Cast(t, Box::new(inner)), level(height)?));
         }
         // Type-parameterised calls: saturating_cast<u8>(x), reinterpret<i16>(x).
         if name == "saturating_cast" || name == "reinterpret" {
@@ -266,32 +317,36 @@ impl Parser {
             };
             self.expect_sym(">")?;
             self.expect_sym("(")?;
-            let inner = self.parse_bin(0)?;
+            let (inner, height) = self.parse_bin(0)?;
             self.expect_sym(")")?;
-            return Ok(if name == "saturating_cast" {
+            let ast = if name == "saturating_cast" {
                 Ast::Fpir(FpirOp::SaturatingCast(t), vec![inner])
             } else {
                 Ast::Reinterpret(t, Box::new(inner))
-            });
+            };
+            return Ok((ast, level(height)?));
         }
         // General calls: select, min, max, and FPIR instructions by name.
         if self.eat_sym("(") {
             let mut args = Vec::new();
+            let mut height = 0;
             if !self.eat_sym(")") {
                 loop {
-                    args.push(self.parse_bin(0)?);
+                    let (arg, h) = self.parse_bin(0)?;
+                    args.push(arg);
+                    height = height.max(h);
                     if self.eat_sym(")") {
                         break;
                     }
                     self.expect_sym(",")?;
                 }
             }
-            return build_call(&name, args);
+            return Ok((build_call(&name, args)?, level(height)?));
         }
         // A variable: `name_u8`.
         if let Some(idx) = name.rfind('_') {
             if let Some(t) = ScalarType::from_name(&name[idx + 1..]) {
-                return Ok(Ast::Var(name[..idx].to_string(), t));
+                return Ok((Ast::Var(name[..idx].to_string(), t), 1));
             }
         }
         Err(ParseError::new(format!("variable `{name}` needs a type suffix such as `{name}_u8`")))
@@ -620,6 +675,40 @@ mod tests {
     #[test]
     fn type_mismatch_fails() {
         assert!(parse_expr("a_u8 + b_u16", 4).is_err());
+    }
+
+    /// Expressions exactly `n` levels deep, one per kind of level.
+    fn shapes(n: usize) -> [(&'static str, String); 4] {
+        [
+            ("chain", (1..n).fold("a_u8".to_string(), |acc, _| acc + " + b_u8")),
+            ("parens", format!("{}a_u8{}", "(".repeat(n - 1), ")".repeat(n - 1))),
+            ("negations", format!("{}a_i8", "- ".repeat(n - 1))),
+            ("calls", format!("{}a_u8{}", "min(b_u8, ".repeat(n - 1), ")".repeat(n - 1))),
+        ]
+    }
+
+    #[test]
+    fn depth_bound_is_exact_for_every_kind_of_level() {
+        for (what, src) in shapes(MAX_EXPR_DEPTH) {
+            assert!(parse_expr(&src, 4).is_ok(), "{what} at the bound");
+        }
+        for (what, src) in shapes(MAX_EXPR_DEPTH + 1) {
+            let err = parse_expr(&src, 4).unwrap_err();
+            assert!(err.to_string().contains("deeper than"), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn far_too_deep_is_refused_without_exhausting_the_stack() {
+        let n = 100_000;
+        for src in [
+            format!("{}a_u8{}", "(".repeat(n), " + b_u8)".repeat(n)),
+            (0..n).fold("a_u8".to_string(), |acc, _| acc + "+b_u8"),
+            format!("{}a_i8", "-".repeat(n)),
+        ] {
+            let err = parse_expr(&src, 4).unwrap_err();
+            assert!(err.to_string().contains("deeper than"), "{err}");
+        }
     }
 
     #[test]

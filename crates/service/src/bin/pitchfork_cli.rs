@@ -156,6 +156,12 @@ fn main() -> ExitCode {
     if command == "run" || !inputs.is_empty() {
         frame.push(("inputs".into(), Json::Object(inputs)));
     }
+    // The tag goes last, whatever the flag order: the layout the
+    // daemon's hot memo serves without parsing.
+    if let Some(i) = frame.iter().position(|(k, _)| k == "tag") {
+        let tag = frame.remove(i);
+        frame.push(tag);
+    }
 
     let mut client = match Client::connect(&endpoint) {
         Ok(c) => c,

@@ -30,7 +30,11 @@
 //! * the socket throughput curve must be monotone non-decreasing from
 //!   1→2→4→8 client threads (batched readiness dispatch has to beat
 //!   thread-per-connection, which peaked at 2 threads), and 4-thread
-//!   throughput must exceed the old 43.3k req/s peak.
+//!   throughput must exceed the old 43.3k req/s peak;
+//! * the pipelined sweep, where every request carries a tag of its own,
+//!   must serve at least as many requests per second at depth 128 as
+//!   at depth 32 (the hot memo must not fall off a cliff as the number
+//!   of distinct frames in flight grows).
 //!
 //! Writes `BENCH_service.json`.
 //!
@@ -44,14 +48,15 @@ use fpir_workloads::{all_workloads, LANES};
 use pitchfork::{compile_to_executable, Config, EngineConfig, Pitchfork};
 use pitchfork_service::protocol::CompileSpec;
 use pitchfork_service::{
-    serve_with, write_frame, Client, Endpoint, Json, Request, ServeOptions, Service, ServiceConfig,
-    Stats,
+    serve_with, write_frame, Client, Endpoint, FrameReader, Json, Request, ServeOptions, Service,
+    ServiceConfig, Stats,
 };
 use std::fmt::Write as _;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -96,45 +101,31 @@ fn get<'a>(v: &'a Json, k: &str) -> Option<&'a Json> {
     v.get(k)
 }
 
-/// The wire bytes of one `compile` request (defaults match [`spec`]).
-fn encode_compile(expr: &str, isa: Isa, tag: Option<&str>) -> Vec<u8> {
-    let mut members = vec![
-        ("op".to_string(), Json::str("compile")),
-        ("expr".to_string(), Json::str(expr)),
-        ("lanes".to_string(), Json::Int(i128::from(LANES))),
-        ("isa".to_string(), Json::str(isa.slug())),
-    ];
-    if let Some(t) = tag {
-        members.push(("tag".to_string(), Json::str(t)));
-    }
+/// The wire bytes of one untagged `compile` request (defaults match
+/// [`spec`]).
+fn encode_compile(expr: &str, isa: Isa) -> Vec<u8> {
     let mut bytes = Vec::new();
-    write_frame(&mut bytes, &Json::Object(members)).expect("in-memory write");
+    write_frame(&mut bytes, &compile_json(expr, isa, true)).expect("in-memory write");
     bytes
 }
 
-/// Read one response frame through a client-side buffer (typically one
-/// `read` syscall per frame), asserting only the `{"ok":true` prefix —
-/// byte-level equality with the direct compiler is gated separately,
-/// and parsing every response would bench the client's JSON parser,
-/// not the server.
-fn read_ok(stream: &mut UnixStream, acc: &mut Vec<u8>) {
+/// Read one response frame through the client's [`FrameReader`]
+/// (typically one `read` syscall per several frames), asserting only
+/// the `{"ok":true` prefix — byte-level equality with the direct
+/// compiler is gated separately, and parsing every response would bench
+/// the client's JSON parser, not the server.
+fn read_ok(stream: &mut UnixStream, reader: &mut FrameReader) {
     loop {
-        if acc.len() >= 4 {
-            let n = u32::from_be_bytes([acc[0], acc[1], acc[2], acc[3]]) as usize;
-            if acc.len() >= 4 + n {
-                assert!(
-                    acc[4..4 + n].starts_with(b"{\"ok\":true"),
-                    "request failed: {}",
-                    String::from_utf8_lossy(&acc[4..4 + n])
-                );
-                acc.drain(..4 + n);
-                return;
-            }
+        if let Some(body) = reader.buffered_frame_raw().expect("a response frame") {
+            assert!(
+                body.starts_with(b"{\"ok\":true"),
+                "request failed: {}",
+                String::from_utf8_lossy(&body)
+            );
+            return;
         }
-        let mut chunk = [0u8; 16384];
-        let got = stream.read(&mut chunk).expect("response read");
+        let got = reader.fill_from(stream).expect("response read");
         assert!(got > 0, "server closed mid-response");
-        acc.extend_from_slice(&chunk[..got]);
     }
 }
 
@@ -172,12 +163,12 @@ fn sweep_point(path: &std::path::Path, frames: &[Vec<u8>], threads: usize, total
             let mut stream = UnixStream::connect(path).expect("connect");
             std::thread::spawn(move || {
                 set_batch_sched();
-                let mut body = Vec::new();
+                let mut reader = FrameReader::new();
                 gate.wait();
                 for i in 0..per_thread {
                     let frame = &frames[(i + t) % frames.len()];
                     stream.write_all(frame).expect("request write");
-                    read_ok(&mut stream, &mut body);
+                    read_ok(&mut stream, &mut reader);
                 }
             })
         })
@@ -190,12 +181,17 @@ fn sweep_point(path: &std::path::Path, frames: &[Vec<u8>], threads: usize, total
     (threads * per_thread) as f64 / t0.elapsed().as_secs_f64().max(1e-9)
 }
 
+/// The next tag a pipelined request may use: every request in a run
+/// gets its own, as clients that tag with request ids do.
+static NEXT_TAG: AtomicU64 = AtomicU64::new(0);
+
 /// Pipelined throughput: `threads` connections, each writing `depth`
 /// tagged requests back-to-back (one `write`), then reading the window
-/// of responses.
+/// of responses. `heads` are untagged request bodies without their
+/// closing brace; each request appends `,"tag":N}` with a fresh `N`.
 fn pipelined_point(
     path: &std::path::Path,
-    batches: &[Vec<u8>],
+    heads: &[Vec<u8>],
     threads: usize,
     total: usize,
     depth: usize,
@@ -205,16 +201,30 @@ fn pipelined_point(
     let handles: Vec<_> = (0..threads)
         .map(|t| {
             let gate = Arc::clone(&gate);
-            let batches = batches.to_vec();
+            let heads = heads.to_vec();
             let mut stream = UnixStream::connect(path).expect("connect");
+            let mut tag =
+                NEXT_TAG.fetch_add((windows_per_thread * depth) as u64, Ordering::Relaxed);
             std::thread::spawn(move || {
                 set_batch_sched();
-                let mut body = Vec::new();
+                let mut reader = FrameReader::new();
+                let mut window = Vec::new();
                 gate.wait();
                 for i in 0..windows_per_thread {
-                    stream.write_all(&batches[(i + t) % batches.len()]).expect("batch write");
+                    window.clear();
+                    for d in 0..depth {
+                        let head = &heads[(i + t + d) % heads.len()];
+                        let at = window.len();
+                        window.extend_from_slice(&[0; 4]);
+                        window.extend_from_slice(head);
+                        write!(window, ",\"tag\":{tag}}}").expect("in-memory write");
+                        tag += 1;
+                        let len = (window.len() - at - 4) as u32;
+                        window[at..at + 4].copy_from_slice(&len.to_be_bytes());
+                    }
+                    stream.write_all(&window).expect("window write");
                     for _ in 0..depth {
-                        read_ok(&mut stream, &mut body);
+                        read_ok(&mut stream, &mut reader);
                     }
                 }
             })
@@ -667,7 +677,7 @@ fn main() -> ExitCode {
     }
 
     let frames: Vec<Vec<u8>> =
-        combos.iter().map(|(_, expr, isa)| encode_compile(expr, *isa, None)).collect();
+        combos.iter().map(|(_, expr, isa)| encode_compile(expr, *isa)).collect();
 
     let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8, 16] };
     // Trials run as interleaved ladders (1..16, then again) and each
@@ -683,30 +693,28 @@ fn main() -> ExitCode {
         }
     }
 
-    // Pipelined depth sweep: windows of `depth` tagged requests
-    // concatenated so each window costs the client one `write`.
+    // Pipelined depth sweep: windows of `depth` uniquely tagged
+    // requests concatenated so each window costs the client one `write`.
     let pipelined_threads = if smoke { 2 } else { 4 };
     let depths: &[usize] = if smoke { &[1, 8] } else { PIPELINE_DEPTHS };
-    let mut pipelined: Vec<(usize, f64)> = Vec::with_capacity(depths.len());
-    for &depth in depths {
-        let batches: Vec<Vec<u8>> = combos
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let mut batch = Vec::new();
-                for d in 0..depth {
-                    let (_, expr, isa) = &combos[(i + d) % combos.len()];
-                    batch.extend_from_slice(&encode_compile(expr, *isa, Some(&format!("w{d}"))));
-                }
-                batch
-            })
-            .collect();
-        let mut best = 0.0f64;
-        for _ in 0..sweep_trials {
-            best =
-                best.max(pipelined_point(&sock, &batches, pipelined_threads, sweep_total, depth));
+    let heads: Vec<Vec<u8>> = combos
+        .iter()
+        .map(|(_, expr, isa)| {
+            let mut head = compile_json(expr, *isa, true).render().into_bytes();
+            head.pop();
+            head
+        })
+        .collect();
+    let mut pipelined: Vec<(usize, f64)> = depths.iter().map(|&d| (d, 0.0f64)).collect();
+    // Interleaved ladders, best per point, as for the thread sweep but
+    // with four times its trials: at ~450k req/s a point lasts a fifth
+    // of a second, and four of them per depth let one noisy spell on a
+    // shared host reorder depths whose rates are close.
+    for _ in 0..4 * sweep_trials {
+        for (depth, best) in pipelined.iter_mut() {
+            let r = pipelined_point(&sock, &heads, pipelined_threads, sweep_total, *depth);
+            *best = best.max(r);
         }
-        pipelined.push((depth, best));
     }
 
     // Stop the server the way a client would.
@@ -716,8 +724,8 @@ fn main() -> ExitCode {
         write_frame(&mut frame, &Json::Object(vec![("op".into(), Json::str("shutdown"))]))
             .expect("in-memory write");
         stream.write_all(&frame).expect("shutdown write");
-        let mut body = Vec::new();
-        read_ok(&mut stream, &mut body);
+        let mut reader = FrameReader::new();
+        read_ok(&mut stream, &mut reader);
     }
     server.join().expect("server thread").expect("server result");
 
@@ -827,6 +835,16 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
+        }
+        let at_depth = |d: usize| pipelined.iter().find(|(x, _)| *x == d).map_or(0.0, |(_, r)| *r);
+        if at_depth(128) < at_depth(32) {
+            eprintln!(
+                "service-bench: FAILED — pipelined throughput fell from {:.0} req/s at depth 32 \
+                 to {:.0} at depth 128; the hot memo must not fall off a cliff",
+                at_depth(32),
+                at_depth(128)
+            );
+            return ExitCode::FAILURE;
         }
         let at4 = rps.iter().find(|(t, _)| *t == 4).map_or(0.0, |(_, r)| *r);
         if at4 <= OLD_PEAK_RPS {

@@ -54,7 +54,8 @@ use crate::peer;
 use crate::poll::{poll_fds, wake_pipe, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{
     attach_tag, attach_tag_rendered, decode_frame, error_response, parse_request, peer_get_frame,
-    request_tag, write_frame, FrameReader, FrameWriter, Request, FILL_CHUNK, MAX_FRAME,
+    request_tag, splice_tag, split_trailing_tag, write_frame, FrameReader, FrameWriter, Request,
+    FILL_CHUNK, MAX_FRAME,
 };
 use crate::server::{Endpoint, StopFlag};
 use crate::service::{CacheDecision, FastReply, Service};
@@ -66,6 +67,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -203,59 +205,135 @@ impl Write for Stream {
 
 /// Largest request or response the hot memo will hold (per entry).
 const HOT_MAX_BYTES: usize = 64 * 1024;
-/// Entry cap for the hot memo; crossing it clears the map wholesale
-/// (cheap, rare, and self-correcting — the working set refills in one
-/// round of traffic).
+/// Entry cap for the hot memo; past it, CLOCK evicts one entry per
+/// insert.
 const HOT_MAX_ENTRIES: usize = 2048;
 
-/// A memo of raw compile-request bytes → the exact rendered response,
-/// shared by every connection on one loop.
+/// A memo of compile-request bytes with the tag cut out → the exact
+/// rendered, untagged response, shared by every connection on one loop.
 ///
-/// Compilation is deterministic, so byte-identical compile requests
-/// (tag included — the tag is part of the key and of the stored body)
-/// get byte-identical responses *for one rule-set generation*. A memo
-/// hit skips the JSON parse, the expression parse, and the cache-key
-/// construction — the entire per-request CPU cost of a warm compile —
-/// leaving a hash lookup and a buffer clone. Entries are seeded only
-/// from artifact-cache hits, so the stored body is exactly what
-/// [`Service::classify`] would have produced.
+/// Compilation is deterministic, and a request's tag changes only the
+/// response's final member, so byte-identical requests *apart from the
+/// tag* get byte-identical responses *for one rule-set generation*. A
+/// frame ending in its tag ([`split_trailing_tag`]) is keyed on the
+/// bytes before the tag's value and answered with the stored body and
+/// its own tag spliced in; an untagged frame is keyed on all its
+/// bytes. A tagged key ends in `:` (`…,"tag":`) and an untagged one in
+/// `}`, so one map holds both kinds and whatever bytes a client sends,
+/// a lookup can only find an entry of its own kind. A hit skips the
+/// JSON parse, the expression parse, and the cache-key construction —
+/// the entire per-request CPU cost of a warm compile — leaving a hash
+/// lookup and a buffer copy.
+///
+/// An entry is seeded only from an artifact-cache hit on a frame that
+/// decoded to exactly the key's shape: tagged, with one `tag` member
+/// rendering to the stripped text; untagged, with no `tag` member at
+/// all. Any other frame with the same key bytes differs only in a tag
+/// value that renders to its own text, so decode, parse and
+/// [`Service::classify`] would answer it with the same body and that
+/// tag.
 ///
 /// Every entry is stamped with the service's rule-set generation
 /// ([`Service::rules_generation`]); the loop refreshes `gen` each
 /// iteration and a stale-generation entry reads as a miss, so the memo
 /// can never serve a response rendered under a superseded rule set —
 /// the raw request bytes alone don't encode which rules were loaded.
+///
+/// Past [`HOT_MAX_ENTRIES`], CLOCK (second-chance) eviction picks the
+/// victim: a hit sets the entry's reference bit, and the hand sweeps
+/// the slots clearing bits until it finds an entry not hit since its
+/// last pass. A working set larger than the cap therefore loses its
+/// coldest keys, not all of them at once.
 struct HotCache {
-    map: HashMap<Vec<u8>, HotEntry>,
+    /// Key → index into `slots`.
+    index: HashMap<Rc<[u8]>, usize>,
+    slots: Vec<HotSlot>,
+    /// The next slot CLOCK considers for eviction.
+    hand: usize,
     /// The current rule-set generation; entries from any other
     /// generation are dead.
     gen: u64,
 }
 
-struct HotEntry {
+struct HotSlot {
+    key: Rc<[u8]>,
+    /// The rendered response without a tag.
     body: String,
-    untagged: bool,
     /// The rule-set generation the body was rendered under.
     rules_gen: u64,
+    /// Hit since the hand last passed (CLOCK's second chance).
+    referenced: bool,
 }
 
 impl HotCache {
     fn new(gen: u64) -> HotCache {
-        HotCache { map: HashMap::new(), gen }
+        HotCache { index: HashMap::new(), slots: Vec::new(), hand: 0, gen }
     }
 
-    fn get(&self, raw: &[u8]) -> Option<&HotEntry> {
-        self.map.get(raw).filter(|e| e.rules_gen == self.gen)
+    /// The untagged body stored under `key`, marking it recently used.
+    fn get(&mut self, key: &[u8]) -> Option<&str> {
+        let i = *self.index.get(key)?;
+        let slot = &mut self.slots[i];
+        if slot.rules_gen != self.gen {
+            return None;
+        }
+        slot.referenced = true;
+        Some(&slot.body)
     }
 
-    fn insert(&mut self, raw: Vec<u8>, body: String, untagged: bool) {
-        if body.len() > HOT_MAX_BYTES {
-            return;
+    /// Memoize `body` under `key`; `true` when CLOCK evicted an entry to
+    /// make room.
+    fn insert(&mut self, key: Vec<u8>, body: String) -> bool {
+        if key.len() > HOT_MAX_BYTES || body.len() > HOT_MAX_BYTES {
+            return false;
         }
-        if self.map.len() >= HOT_MAX_ENTRIES {
-            self.map.clear();
+        if let Some(&i) = self.index.get(key.as_slice()) {
+            // Stale, or seeded twice by frames that missed together:
+            // refreshed in place.
+            let slot = &mut self.slots[i];
+            slot.body = body;
+            slot.rules_gen = self.gen;
+            return false;
         }
-        self.map.insert(raw, HotEntry { body, untagged, rules_gen: self.gen });
+        let key: Rc<[u8]> = key.into();
+        let fresh = HotSlot { key: Rc::clone(&key), body, rules_gen: self.gen, referenced: false };
+        if self.slots.len() < HOT_MAX_ENTRIES {
+            self.index.insert(key, self.slots.len());
+            self.slots.push(fresh);
+            return false;
+        }
+        // One sweep clears every bit, so this ends within a lap.
+        while self.slots[self.hand].referenced {
+            self.slots[self.hand].referenced = false;
+            self.hand = (self.hand + 1) % self.slots.len();
+        }
+        let victim = std::mem::replace(&mut self.slots[self.hand], fresh);
+        self.index.remove(&victim.key);
+        self.index.insert(key, self.hand);
+        self.hand = (self.hand + 1) % self.slots.len();
+        true
+    }
+}
+
+/// The hot-memo key of a raw frame and the tag text to splice into a
+/// memoized body: the bytes before a trailing tag's value, or a whole
+/// untagged-looking frame. `None` for a frame no entry can match.
+fn hot_key(raw: &[u8]) -> Option<(&[u8], Option<&str>)> {
+    match split_trailing_tag(raw) {
+        Some((key, tag)) => Some((key, Some(tag))),
+        None => raw.ends_with(b"}").then_some((raw, None)),
+    }
+}
+
+/// Whether a decoded frame has exactly the shape its hot-memo key was
+/// cut for: one `tag` member rendering to the stripped `tag_text`, or
+/// no `tag` member at all (not even `"tag":null`) for an untagged key.
+fn fits_key_shape(frame: &Json, tag: Option<&Json>, tag_text: Option<&[u8]>) -> bool {
+    let tags = frame.as_object().map_or(0, |m| m.iter().filter(|(k, _)| k == "tag").count());
+    match (tag, tag_text) {
+        (Some(t), Some(text)) => tags == 1 && t.render().as_bytes() == text,
+        (None, None) => tags == 0,
+        _ => false,
     }
 }
 
@@ -277,9 +355,9 @@ struct PendingFrame {
     /// Close (drain) the connection after answering — set for framing
     /// errors, where the byte stream can no longer be trusted.
     close_after: bool,
-    /// The frame's raw bytes, kept for compile requests so a
-    /// cache-hit response can seed the hot memo.
-    raw: Option<Vec<u8>>,
+    /// The frame's hot-memo key, kept for compile requests of the
+    /// memoizable shape so a cache-hit response can seed the memo.
+    memo_key: Option<Vec<u8>>,
     /// When the frame was read: deadlines and latencies count from it.
     arrived: Instant,
 }
@@ -344,7 +422,7 @@ impl Conn {
             tag: None,
             work: Work::Parsed(Err(e)),
             close_after: fatal,
-            raw: None,
+            memo_key: None,
             arrived: Instant::now(),
         });
         if fatal {
@@ -356,19 +434,29 @@ impl Conn {
     /// hit carries its finished response, anything else gets decoded
     /// (tag errors become an inline error reply; the framing itself is
     /// still intact, while undecodable bytes are fatal).
-    fn ingest(&mut self, raw: Vec<u8>, hot: &HotCache) {
+    fn ingest(&mut self, mut raw: Vec<u8>, hot: &mut HotCache) {
         let arrived = Instant::now();
-        if let Some(entry) = hot.get(&raw) {
-            self.pending.push_back(PendingFrame {
-                untagged: entry.untagged,
-                tag: None,
-                work: Work::Hot(entry.body.clone()),
-                close_after: false,
-                raw: None,
-                arrived,
-            });
-            return;
+        let key = hot_key(&raw);
+        if let Some((key, tag)) = key {
+            if let Some(body) = hot.get(key) {
+                let extra = tag.map_or(0, |t| ",\"tag\":".len() + t.len());
+                let mut reply = String::with_capacity(body.len() + extra);
+                reply.push_str(body);
+                if let Some(t) = tag {
+                    splice_tag(&mut reply, t);
+                }
+                self.pending.push_back(PendingFrame {
+                    untagged: tag.is_none(),
+                    tag: None,
+                    work: Work::Hot(reply),
+                    close_after: false,
+                    memo_key: None,
+                    arrived,
+                });
+                return;
+            }
         }
+        let key_shape = key.map(|(key, tag)| (key.len(), tag.is_some()));
         let frame = match decode_frame(raw.clone()) {
             Ok(frame) => frame,
             Err(e) => return self.ingest_error(ServiceError::BadRequest(e.to_string()), true),
@@ -376,14 +464,27 @@ impl Conn {
         match request_tag(&frame) {
             Ok(tag) => {
                 let work = parse_request(&frame);
-                let memoizable =
-                    matches!(&work, Ok(Request::Compile(_))) && raw.len() <= HOT_MAX_BYTES;
+                let memo_key = match key_shape {
+                    Some((len, tagged))
+                        if matches!(&work, Ok(Request::Compile(_)))
+                            && raw.len() <= HOT_MAX_BYTES
+                            && fits_key_shape(
+                                &frame,
+                                tag.as_ref(),
+                                tagged.then(|| &raw[len..raw.len() - 1]),
+                            ) =>
+                    {
+                        raw.truncate(len);
+                        Some(raw)
+                    }
+                    _ => None,
+                };
                 self.pending.push_back(PendingFrame {
                     untagged: tag.is_none(),
                     tag,
                     work: Work::Parsed(work),
                     close_after: false,
-                    raw: memoizable.then_some(raw),
+                    memo_key,
                     arrived,
                 });
             }
@@ -395,7 +496,7 @@ impl Conn {
     /// to the pipeline cap. A malformed frame queues a final error
     /// reply and puts the connection into draining (the stream can no
     /// longer be framed).
-    fn drain_buffered(&mut self, opts: &ServeOptions, hot: &HotCache) -> bool {
+    fn drain_buffered(&mut self, opts: &ServeOptions, hot: &mut HotCache) -> bool {
         let mut any = false;
         while self.pending.len() < opts.max_pipeline && !self.draining {
             match self.reader.buffered_frame_raw() {
@@ -414,7 +515,7 @@ impl Conn {
     }
 
     /// Pull whatever the readable socket has, decoding as we go.
-    fn fill(&mut self, opts: &ServeOptions, hot: &HotCache) {
+    fn fill(&mut self, opts: &ServeOptions, hot: &mut HotCache) {
         loop {
             self.drain_buffered(opts, hot);
             if self.pending.len() >= opts.max_pipeline || self.draining {
@@ -802,6 +903,9 @@ fn pump(
                 }
             }
             Work::Parsed(Ok(req)) => {
+                if f.memo_key.is_some() {
+                    Stats::bump(&service.stats().hot_misses);
+                }
                 if matches!(req, Request::Shutdown) {
                     let reply = service.handle(&req);
                     conn.queue_reply(FastReply::Json(reply), f.tag.as_ref());
@@ -809,17 +913,16 @@ fn pump(
                     continue;
                 }
                 match service.classify(&req) {
-                    CacheDecision::Reply(FastReply::Raw(mut body)) => {
+                    CacheDecision::Reply(FastReply::Raw(body)) => {
                         // A compile served from the artifact cache:
-                        // splice the tag, then memoize the finished
-                        // bytes under the frame's raw bytes.
-                        if let Some(t) = &f.tag {
-                            attach_tag_rendered(&mut body, t);
+                        // memoize the untagged body under the frame's
+                        // key; the reply gets the tag spliced in.
+                        if let Some(key) = f.memo_key {
+                            if hot.insert(key, body.clone()) {
+                                Stats::bump(&service.stats().hot_evictions);
+                            }
                         }
-                        if let Some(raw) = f.raw {
-                            hot.insert(raw, body.clone(), untagged);
-                        }
-                        conn.queue_reply(FastReply::Raw(body), None);
+                        conn.queue_reply(FastReply::Raw(body), f.tag.as_ref());
                     }
                     CacheDecision::Reply(fast) => conn.queue_reply(fast, f.tag.as_ref()),
                     decision => {
@@ -1026,7 +1129,7 @@ pub(crate) fn run(
                 continue;
             }
             if pf.readable() && conn.wants_read(opts) {
-                conn.fill(opts, &hot);
+                conn.fill(opts, &mut hot);
             }
         }
 
@@ -1117,4 +1220,68 @@ pub(crate) fn run(
     Stats::set(&stats.queue_capacity, 0);
     Stats::set(&stats.workers, 0);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(i: usize) -> Vec<u8> {
+        format!(r#"{{"op":"compile","n":{i}}}"#).into_bytes()
+    }
+
+    /// A few keys hit between inserts stay resident while a cycle of
+    /// twice `HOT_MAX_ENTRIES` other keys streams through again and
+    /// again. Clearing the whole map at the cap, as the memo once did,
+    /// would drop the hot keys at every clear.
+    #[test]
+    fn clock_keeps_hit_keys_resident_while_a_larger_stream_cycles() {
+        let mut hot = HotCache::new(0);
+        let hot_keys = 0..8;
+        for k in hot_keys.clone() {
+            assert!(!hot.insert(key(k), format!("hot {k}")));
+        }
+        let cycle = 2 * HOT_MAX_ENTRIES;
+        let mut evictions = 0;
+        for step in 0..3 * cycle {
+            let k = 1_000_000 + step % cycle;
+            // Each streamed key recurs only after more keys than fit
+            // have passed, so it always misses and is inserted afresh.
+            assert!(hot.get(&key(k)).is_none(), "step {step}: streamed key still resident");
+            evictions += usize::from(hot.insert(key(k), "cold".into()));
+            if step % 16 == 0 {
+                for k in hot_keys.clone() {
+                    let want = format!("hot {k}");
+                    assert_eq!(hot.get(&key(k)), Some(want.as_str()), "step {step}: lost {k}");
+                }
+            }
+        }
+        assert_eq!(hot.slots.len(), HOT_MAX_ENTRIES);
+        assert_eq!(hot.index.len(), HOT_MAX_ENTRIES);
+        assert_eq!(evictions, 3 * cycle + hot_keys.len() - HOT_MAX_ENTRIES);
+    }
+
+    #[test]
+    fn stale_generation_reads_as_a_miss_and_refreshes_in_place() {
+        let mut hot = HotCache::new(1);
+        hot.insert(key(1), "old".into());
+        hot.gen = 2;
+        assert_eq!(hot.get(&key(1)), None);
+        assert!(!hot.insert(key(1), "new".into()));
+        assert_eq!(hot.get(&key(1)), Some("new"));
+        assert_eq!(hot.slots.len(), 1);
+    }
+
+    #[test]
+    fn tagged_and_untagged_keys_never_collide() {
+        let tagged = br#"{"op":"compile","tag":7}"#;
+        let untagged = br#"{"op":"compile"}"#;
+        let (k, t) = hot_key(tagged).unwrap();
+        assert_eq!((k, t), (&br#"{"op":"compile","tag":"#[..], Some("7")));
+        assert_eq!(hot_key(untagged), Some((&untagged[..], None)));
+        // The bytes of a tagged key sent as a frame of their own are not
+        // looked up at all; nor is anything else not ending in `}`.
+        assert_eq!(hot_key(k), None);
+        assert_eq!(hot_key(br#"{"op":"compile""#), None);
+    }
 }

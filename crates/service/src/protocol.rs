@@ -104,6 +104,10 @@ pub fn decode_frame(body: Vec<u8>) -> io::Result<Json> {
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// `buf[..start]` was already drained as frames; it is dropped at
+    /// the next fill, so draining a read's worth of frames costs one
+    /// copy of each frame rather than one copy of the rest per frame.
+    start: usize,
 }
 
 impl FrameReader {
@@ -128,7 +132,7 @@ impl FrameReader {
             }
             match self.fill_from(r)? {
                 0 => {
-                    return if self.buf.is_empty() {
+                    return if self.buffered_bytes() == 0 {
                         Ok(None)
                     } else {
                         Err(io::Error::new(io::ErrorKind::UnexpectedEof, "stream ended mid-frame"))
@@ -149,6 +153,8 @@ impl FrameReader {
     ///
     /// I/O errors from `r` (`Interrupted` is retried internally).
     pub fn fill_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        self.buf.drain(..self.start);
+        self.start = 0;
         let mut chunk = [0u8; FILL_CHUNK];
         loop {
             match r.read(&mut chunk) {
@@ -190,25 +196,25 @@ impl FrameReader {
 
     /// Bytes buffered but not yet decoded (partial input).
     pub fn buffered_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// If the buffer holds a complete `4 + len` frame, drain and return
     /// its body.
     fn take_buffered_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
+        let pending = &self.buf[self.start..];
+        if pending.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        let len = u32::from_be_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
         if len > MAX_FRAME {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
         }
-        if self.buf.len() < 4 + len {
+        if pending.len() < 4 + len {
             return Ok(None);
         }
-        let rest = self.buf.split_off(4 + len);
-        let mut frame = std::mem::replace(&mut self.buf, rest);
-        frame.drain(..4);
+        let frame = pending[4..4 + len].to_vec();
+        self.start += 4 + len;
         Ok(Some(frame))
     }
 }
@@ -406,11 +412,59 @@ pub fn attach_tag(resp: &mut Json, tag: &Json) {
 /// `,"tag":<tag>` before the closing brace — the cache-hit fast path
 /// tags its pre-rendered bytes without reparsing them.
 pub fn attach_tag_rendered(body: &mut String, tag: &Json) {
+    splice_tag(body, &tag.render());
+}
+
+/// Splice a tag's rendered text (`7`, `"req-1"`) into a rendered
+/// response object as its final member. With the text
+/// [`split_trailing_tag`] cut from a request, this is
+/// [`attach_tag_rendered`] without rendering the tag again.
+pub fn splice_tag(body: &mut String, tag_text: &str) {
     debug_assert!(body.starts_with('{') && body.ends_with('}'), "rendered response object");
     body.pop();
     body.push_str(",\"tag\":");
-    body.push_str(&tag.render());
+    body.push_str(tag_text);
     body.push('}');
+}
+
+/// Split a request frame that ends in its `tag` member into the bytes
+/// before the tag's value (up to and including `"tag":`) and the tag's
+/// raw text, without decoding anything.
+///
+/// Only the layout every in-repo client writes is accepted: the frame
+/// ends in `,"tag":<t>}` with no whitespace, and `<t>` is exactly what
+/// [`Json::render`] prints for the tag it parses to — a canonical
+/// integer (no leading zeros, no `-0`, within `i128`), or a string of
+/// at most [`MAX_TAG_STRING`] bytes of UTF-8 with no `\`, `"` or
+/// control characters. Anything else — a tag elsewhere, `null`, an
+/// escaped string, `007` — is `None`. The split says nothing about the
+/// rest of the frame: a caller must still decode it to learn that the
+/// bytes are valid JSON with one `tag` member.
+pub fn split_trailing_tag(frame: &[u8]) -> Option<(&[u8], &str)> {
+    let body = frame.strip_suffix(b"}")?;
+    let start = if let Some(inner) = body.strip_suffix(b"\"") {
+        // The nearest quote before the closing one opens the string:
+        // the text may hold no quote and no escape.
+        let open = inner.iter().rposition(|&b| b == b'"')?;
+        let text = &inner[open + 1..];
+        if text.len() > MAX_TAG_STRING || text.iter().any(|&b| b == b'\\' || b < 0x20) {
+            return None;
+        }
+        std::str::from_utf8(text).ok()?;
+        open
+    } else {
+        let len = body.iter().rev().take_while(|b| b.is_ascii_digit() || **b == b'-').count();
+        let text = std::str::from_utf8(&body[body.len() - len..]).ok()?;
+        let digits = text.strip_prefix('-').unwrap_or(text);
+        let canonical = if digits == "0" { text == "0" } else { !digits.starts_with('0') };
+        if !canonical || text.parse::<i128>().is_err() {
+            return None;
+        }
+        body.len() - len
+    };
+    let (head, tag) = body.split_at(start);
+    head.strip_suffix(b",\"tag\":")?;
+    Some((head, std::str::from_utf8(tag).ok()?))
 }
 
 /// Everything that identifies one compilation: the compile half of

@@ -753,6 +753,8 @@ impl Service {
             ("peer_errors".into(), Json::Int(Stats::read(&self.stats.peer_errors).into())),
             ("peer_serves".into(), Json::Int(Stats::read(&self.stats.peer_serves).into())),
             ("hot_hits".into(), Json::Int(Stats::read(&self.stats.hot_hits).into())),
+            ("hot_misses".into(), Json::Int(Stats::read(&self.stats.hot_misses).into())),
+            ("hot_evictions".into(), Json::Int(Stats::read(&self.stats.hot_evictions).into())),
             ("cache_resident_bytes".into(), Json::Int(c.resident_bytes as i128)),
             ("cache_resident_count".into(), Json::Int(c.resident_count as i128)),
             ("cache_evictions".into(), Json::Int(c.evictions as i128)),

@@ -57,6 +57,11 @@ pub struct Stats {
     /// Warm frames answered from the event loop's hot-request memo
     /// without parsing.
     pub hot_hits: AtomicU64,
+    /// Compile frames of the memoizable shape that missed the hot memo
+    /// and were parsed.
+    pub hot_misses: AtomicU64,
+    /// Hot-memo entries evicted to make room for new ones.
+    pub hot_evictions: AtomicU64,
     /// Connections currently open on the event-loop server (gauge).
     pub open_connections: AtomicU64,
     /// Frames dispatched to workers but not yet answered (gauge).

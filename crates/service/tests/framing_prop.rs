@@ -7,11 +7,13 @@
 //! [`FrameWriter`] → bytes → [`FrameReader`] round trip must
 //! reconstruct every frame bit-for-bit, and the raw-bytes drain used by
 //! the event loop's hot-request memo must agree with the decoding
-//! reader.
+//! reader. The memo's tag stripper must cut exactly the tags it can
+//! splice back byte-for-byte, and refuse every other spelling.
 
-use pitchfork_service::protocol::{decode_frame, MAX_FRAME};
+use pitchfork_service::protocol::{decode_frame, MAX_FRAME, MAX_TAG_STRING};
 use pitchfork_service::{
-    attach_tag, attach_tag_rendered, FrameReader, FrameWriter, Json, WriteOverflow,
+    attach_tag, attach_tag_rendered, splice_tag, split_trailing_tag, FrameReader, FrameWriter,
+    Json, WriteOverflow,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -46,6 +48,44 @@ fn gen_string(rng: &mut StdRng) -> String {
     const ALPHABET: [&str; 8] = ["a", "\"", "\\", "\n", "\t", "é", "λ", "\u{1}"];
     let n = rng.gen_range(0..24);
     (0..n).map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())]).collect()
+}
+
+/// A tag in the layout every in-repo client sends: an integer anywhere
+/// in `i128`, or a string of up to [`MAX_TAG_STRING`] bytes holding
+/// nothing the renderer escapes (JSON punctuation included, so a
+/// stripper that scans for structure would trip).
+fn gen_canonical_tag(rng: &mut StdRng) -> Json {
+    const ALPHABET: [&str; 10] = ["a", "7", "-", " ", "}", ",", ":", "é", "λ", "/"];
+    match rng.gen_range(0..4) {
+        0 => Json::Int(rng.gen_range(-1000..1000)),
+        1 => Json::Int(rng.gen_range(i128::MIN..=i128::MAX)),
+        2 => Json::Int(if rng.gen_bool(0.5) { i128::MIN } else { i128::MAX }),
+        _ => {
+            let mut s = String::new();
+            let want = rng.gen_range(0..=MAX_TAG_STRING);
+            loop {
+                let c = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+                if s.len() + c.len() > want {
+                    break;
+                }
+                s.push_str(c);
+            }
+            Json::Str(s)
+        }
+    }
+}
+
+/// A random request-like object (members `k0`, `k1`, …, never `tag`).
+fn gen_object(rng: &mut StdRng) -> Vec<(String, Json)> {
+    let n = rng.gen_range(1..5);
+    (0..n).map(|i| (format!("k{i}"), gen_value(rng, 2))).collect()
+}
+
+/// `members` rendered as an object with `,"tag":<tag_text>` appended.
+fn frame_with_tag_text(members: &[(String, Json)], tag_text: &str) -> Vec<u8> {
+    let mut body = Json::Object(members.to_vec()).render();
+    body.pop();
+    format!("{body},\"tag\":{tag_text}}}").into_bytes()
 }
 
 /// Accepts a random number of bytes per `write`, with `WouldBlock`
@@ -194,6 +234,81 @@ proptest! {
         attach_tag(&mut resp, &tag);
         attach_tag_rendered(&mut rendered, &tag);
         prop_assert_eq!(resp.render(), rendered);
+    }
+
+    /// Stripping a canonical trailing tag from a request and splicing
+    /// its text into a response reproduces `attach_tag_rendered`, and
+    /// the bytes before the tag are the untagged request up to the tag
+    /// member.
+    #[test]
+    fn strip_then_splice_agrees_with_attach(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7a97_5eed);
+        let members = gen_object(&mut rng);
+        let tag = gen_canonical_tag(&mut rng);
+        let mut tagged = members.clone();
+        tagged.push(("tag".to_string(), tag.clone()));
+        let frame = Json::Object(tagged).render().into_bytes();
+
+        let (head, text) = split_trailing_tag(&frame).expect("a canonical trailing tag splits");
+        let mut untagged = Json::Object(members).render();
+        untagged.pop();
+        untagged.push_str(",\"tag\":");
+        prop_assert_eq!(head, untagged.as_bytes());
+        prop_assert_eq!(text, tag.render());
+
+        let mut members = vec![("ok".to_string(), Json::Bool(true))];
+        members.extend(gen_object(&mut rng));
+        let body = Json::Object(members).render();
+        let (mut spliced, mut attached) = (body.clone(), body);
+        splice_tag(&mut spliced, text);
+        attach_tag_rendered(&mut attached, &tag);
+        prop_assert_eq!(spliced, attached);
+    }
+
+    /// Every spelling of a tag other than its own rendering is refused:
+    /// escaped or over-long strings, non-canonical numbers, other
+    /// value kinds, whitespace, and a tag that is not the last member.
+    #[test]
+    fn stripper_refuses_every_non_canonical_tag(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0dd_7a95);
+        let members = gen_object(&mut rng);
+
+        // A random string (escapes likely) splits exactly when its
+        // rendering needs no escape and it fits the tag bound.
+        let s = gen_string(&mut rng);
+        let rendered = Json::Str(s.clone()).render();
+        let canonical = rendered == format!("\"{s}\"") && s.len() <= MAX_TAG_STRING;
+        let frame = frame_with_tag_text(&members, &rendered);
+        prop_assert_eq!(split_trailing_tag(&frame).is_some(), canonical, "{}", rendered);
+
+        let n: i128 = rng.gen_range(0..1_000_000);
+        let over = format!("\"{}\"", "x".repeat(MAX_TAG_STRING + 1 + rng.gen_range(0..8)));
+        for text in [
+            format!("0{n}"),
+            format!("-0{n}"),
+            "-0".to_string(),
+            format!("+{n}"),
+            format!("{n}.0"),
+            format!("{n}e0"),
+            format!(" {n}"),
+            format!("{n} "),
+            "null".to_string(),
+            "true".to_string(),
+            format!("[{n}]"),
+            "{}".to_string(),
+            "170141183460469231731687303715884105728".to_string(),
+            format!("\"\\u0041{n}\""),
+            "\"a\u{1}b\"".to_string(),
+            over,
+        ] {
+            let frame = frame_with_tag_text(&members, &text);
+            prop_assert!(split_trailing_tag(&frame).is_none(), "{} split", text);
+        }
+
+        // The tag present but not last: nothing to strip.
+        let mut first = vec![("tag".to_string(), Json::Int(n))];
+        first.extend(members);
+        prop_assert!(split_trailing_tag(Json::Object(first).render().as_bytes()).is_none());
     }
 
     /// The byte budget never refuses the first frame, never admits a

@@ -1,7 +1,8 @@
 //! End-to-end tests of protocol v2 pipelining against a live event-loop
 //! server: out-of-order completion on one connection, fairness across
 //! connections, the bounded-output-queue overload close, the compile
-//! pool's queue bound, and deadlines that count from frame arrival.
+//! pool's queue bound, deadlines that count from frame arrival, the
+//! tag-agnostic hot memo, and the expression depth bound.
 //!
 //! Determinism notes. `run_pipeline` requests are *always* dispatched
 //! to the worker pool (whole-image runs are real work even when the
@@ -12,8 +13,10 @@
 //! iteration that dispatches the image run, and the completion can only
 //! be drained in a later iteration.
 
+use fpir::parser::MAX_EXPR_DEPTH;
 use pitchfork_service::{
-    serve_with, write_frame, Client, Endpoint, Json, ServeOptions, Service, ServiceConfig,
+    attach_tag_rendered, parse_request, serve_with, write_frame, Client, Endpoint, Json,
+    ServeOptions, Service, ServiceConfig,
 };
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -26,15 +29,19 @@ fn parse(src: &str) -> Json {
     pitchfork_service::json::parse(src).unwrap()
 }
 
-fn start(path: &Path, opts: ServeOptions) -> std::thread::JoinHandle<io::Result<()>> {
-    let _ = std::fs::remove_file(path);
-    let svc = Arc::new(Service::new(ServiceConfig {
+fn service() -> Service {
+    Service::new(ServiceConfig {
         cache_bytes: 8 << 20,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
         cache_max_age: None,
-    }));
+    })
+}
+
+fn start(path: &Path, opts: ServeOptions) -> std::thread::JoinHandle<io::Result<()>> {
+    let _ = std::fs::remove_file(path);
+    let svc = Arc::new(service());
     let ep = Endpoint::Unix(path.to_path_buf());
     std::thread::spawn(move || serve_with(svc, &ep, &opts))
 }
@@ -141,8 +148,10 @@ fn slow_request_on_one_connection_does_not_stall_another() {
     let mut a = client_with_retry(&path);
     let mut b = client_with_retry(&path);
 
+    // Large enough that the run outlasts five ping round trips in a
+    // release build too.
     let t0 = Instant::now();
-    a.send(&image_run("big", 64, 512)).unwrap();
+    a.send(&image_run("big", 256, 2048)).unwrap();
     let reader = std::thread::spawn(move || {
         let v = a.recv().unwrap();
         (t0.elapsed(), v)
@@ -284,6 +293,154 @@ fn queue_capacity_bounds_the_daemon_and_stats_report_the_pool() {
     assert_eq!(stat(&st, "queue_capacity"), 2, "{st:?}");
 
     drop(stream);
+    shutdown(&path);
+    server.join().unwrap().unwrap();
+}
+
+/// Send one frame's raw body and read the raw body of its response.
+fn exchange_raw(stream: &mut UnixStream, body: &str) -> String {
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    stream.write_all(&frame).unwrap();
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).unwrap();
+    let mut resp = vec![0u8; u32::from_be_bytes(len) as usize];
+    stream.read_exact(&mut resp).unwrap();
+    String::from_utf8(resp).unwrap()
+}
+
+/// `body` (a rendered object) with `member` appended verbatim.
+fn with_member(body: &str, member: &str) -> String {
+    format!("{},{member}}}", &body[..body.len() - 1])
+}
+
+/// What a fresh in-process service answers to `body`: the cold
+/// (computed) response, then the warm (hit) one.
+fn direct_responses(body: &str) -> (String, String) {
+    let svc = service();
+    let req = parse_request(&parse(body)).unwrap();
+    (svc.handle(&req).render(), svc.handle(&req).render())
+}
+
+fn with_tag(mut resp: String, tag: Option<&Json>) -> String {
+    if let Some(t) = tag {
+        attach_tag_rendered(&mut resp, t);
+    }
+    resp
+}
+
+#[test]
+fn one_memo_entry_serves_every_tag() {
+    let path = sock("memo");
+    let server = start(&path, ServeOptions::default());
+    let mut stream = connect_with_retry(&path);
+    let body =
+        format!(r#"{{"op":"compile","expr":"{}","lanes":16,"isa":"arm"}}"#, clamped_add(201));
+    let (computed, hit) = direct_responses(&body);
+
+    // N distinct integer tags, then N distinct string tags, one key.
+    const N: i128 = 8;
+    let tags: Vec<Json> = (0..N)
+        .map(|i| Json::Int(1_000_000_007 * i - 5))
+        .chain((0..N).map(|i| Json::str(format!("req-{i}"))))
+        .collect();
+    let before = stats(&path);
+    for (i, tag) in tags.iter().enumerate() {
+        let resp =
+            exchange_raw(&mut stream, &with_member(&body, &format!(r#""tag":{}"#, tag.render())));
+        let direct = if i == 0 { computed.clone() } else { hit.clone() };
+        assert_eq!(resp, with_tag(direct, Some(tag)), "request {i}");
+    }
+    let after = stats(&path);
+    // The first request compiles and the second seeds the memo from the
+    // artifact cache; every later one, whatever its tag, is a memo hit.
+    let delta = |name: &str| stat(&after, name) - stat(&before, name);
+    assert_eq!(delta("hot_hits"), 2 * N - 2, "{after:?}");
+    assert_eq!(delta("hot_misses"), 2, "{after:?}");
+    assert_eq!(delta("compiles"), 1, "{after:?}");
+
+    drop(stream);
+    shutdown(&path);
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn other_tag_layouts_answer_correctly_without_the_memo() {
+    let path = sock("layouts");
+    let server = start(&path, ServeOptions::default());
+    let mut stream = connect_with_retry(&path);
+    let body =
+        format!(r#"{{"op":"compile","expr":"{}","lanes":16,"isa":"arm"}}"#, clamped_add(202));
+    let (computed, hit) = direct_responses(&body);
+    // Warm the artifact cache, so each frame below is a cache hit that
+    // would seed the memo if its layout were memoizable.
+    let warm = exchange_raw(&mut stream, &with_member(&body, r#""tag":0"#));
+    assert_eq!(warm, with_tag(computed, Some(&Json::Int(0))));
+
+    let tail_of = |member: &str| with_member(&body, member);
+    let layouts: Vec<(&str, String, Option<Json>)> = vec![
+        ("tag first", format!(r#"{{"tag":5,{}"#, &body[1..]), Some(Json::Int(5))),
+        // Equal duplicates first: were they memoized, the differing pair
+        // after them would share their key and get its last tag back.
+        ("equal duplicate tags", tail_of(r#""tag":1,"tag":1"#), Some(Json::Int(1))),
+        ("differing duplicate tags", tail_of(r#""tag":1,"tag":2"#), Some(Json::Int(1))),
+        ("null tag", tail_of(r#""tag":null"#), None),
+        ("escaped string", tail_of(r#""tag":"a\"b""#), Some(Json::str("a\"b"))),
+        ("leading zeros", tail_of(r#""tag":007"#), Some(Json::Int(7))),
+        ("negative zero", tail_of(r#""tag":-0"#), Some(Json::Int(0))),
+        ("whitespace", tail_of(r#""tag": 9"#), Some(Json::Int(9))),
+    ];
+    let before = stats(&path);
+    for (what, frame, tag) in &layouts {
+        for round in 0..3 {
+            let resp = exchange_raw(&mut stream, frame);
+            assert_eq!(resp, with_tag(hit.clone(), tag.as_ref()), "{what}, round {round}");
+        }
+    }
+    let after = stats(&path);
+    assert_eq!(stat(&after, "hot_hits"), stat(&before, "hot_hits"), "{after:?}");
+    assert_eq!(stat(&after, "compiles"), 1, "{after:?}");
+
+    drop(stream);
+    shutdown(&path);
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn too_deep_an_expression_is_refused_and_the_daemon_lives_on() {
+    let path = sock("deep");
+    let server = start(&path, ServeOptions::default());
+    let mut c = client_with_retry(&path);
+
+    // ~900 KB, far below the frame limit; the parser alone would
+    // overflow the event-loop thread's stack without the bound.
+    let n = 100_000;
+    let deep = format!("{}a_u8{}", "(".repeat(n), " + b_u8)".repeat(n));
+    let req = Json::Object(vec![
+        ("op".into(), Json::str("compile")),
+        ("expr".into(), Json::str(deep)),
+        ("lanes".into(), Json::Int(16)),
+        ("isa".into(), Json::str("arm")),
+    ]);
+    let v = c.request(&req).unwrap();
+    assert_eq!(v.get("code").and_then(Json::as_str), Some("bad_request"), "{v:?}");
+    let pong = c.request(&parse(r#"{"op":"ping"}"#)).unwrap();
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true), "{pong:?}");
+
+    // Exactly at the bound, a worker compiles it on every backend.
+    let chain = (1..MAX_EXPR_DEPTH).fold("a_u8".to_string(), |acc, _| acc + " + b_u8");
+    for isa in ["x86", "arm", "hvx", "rvv"] {
+        let req = Json::Object(vec![
+            ("op".into(), Json::str("compile")),
+            ("expr".into(), Json::str(chain.clone())),
+            ("lanes".into(), Json::Int(16)),
+            ("isa".into(), Json::str(isa)),
+        ]);
+        let v = c.request(&req).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{isa}: {v:?}");
+    }
+
+    drop(c);
     shutdown(&path);
     server.join().unwrap().unwrap();
 }

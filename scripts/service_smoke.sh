@@ -3,7 +3,8 @@
 # compile + run + stats round-trip with pitchfork-cli, check that
 # `--workers 2` runs exactly two worker threads, verify the
 # second compile of the same key is a cache hit, exercise protocol v2
-# (a tagged compile, a pipelined three-request exchange, and the
+# (a tagged compile, two more tags on the same key answered from the
+# hot memo, a pipelined three-request exchange, and the
 # Prometheus-style stats rendering), then assert a clean shutdown on
 # SIGTERM (exit 0, socket unlinked). Then: a restart-warm round trip
 # (SIGTERM + relaunch on the same --cache-dir makes the second
@@ -95,6 +96,20 @@ echo "== tagged compile (protocol v2)"
 OUT=$("$CLI" --socket "$SOCK" compile --expr "$EXPR" --lanes 16 --isa arm --tag smoke-1)
 echo "$OUT" | grep -q '"tag":"smoke-1"' || fail "tag was not echoed: $OUT"
 
+echo "== tags share one hot-memo entry"
+# The memo keys on the frame with its trailing tag cut out, so two
+# more tags on the key smoke-1 warmed are hits, not parses.
+hot_hits() {
+    "$CLI" --socket "$SOCK" stats --text | grep -o 'pitchforkd_hot_hits [0-9]*' | grep -o '[0-9]*$'
+}
+BEFORE=$(hot_hits)
+for TAG in smoke-2 smoke-3; do
+    OUT=$("$CLI" --socket "$SOCK" compile --expr "$EXPR" --lanes 16 --isa arm --tag "$TAG")
+    echo "$OUT" | grep -q "\"tag\":\"$TAG\"" || fail "tag $TAG was not echoed: $OUT"
+done
+AFTER=$(hot_hits)
+[ "$AFTER" -gt "$BEFORE" ] || fail "differently tagged compiles missed the hot memo ($BEFORE -> $AFTER hits)"
+
 echo "== pipelined exchange (3 tagged requests before any read)"
 OUT=$("$CLI" --socket "$SOCK" pipeline --expr "$EXPR" --lanes 16 --isa arm)
 echo "$OUT" | grep -q '"pipelined":3' || fail "pipelined exchange: $OUT"
@@ -111,6 +126,8 @@ OUT=$("$CLI" --socket "$SOCK" stats --text)
 echo "$OUT" | grep -q 'pitchforkd_requests' || fail "no text-format counters: $OUT"
 echo "$OUT" | grep -q 'pitchforkd_open_connections' || fail "no event-loop gauges: $OUT"
 echo "$OUT" | grep -q 'pitchforkd_workers 2' || fail "stats do not report the live pool: $OUT"
+echo "$OUT" | grep -q 'pitchforkd_hot_misses [1-9]' || fail "no hot-memo misses counted: $OUT"
+echo "$OUT" | grep -q 'pitchforkd_hot_evictions 0' || fail "hot-memo evictions not reported: $OUT"
 
 echo "== SIGTERM"
 term_and_wait "$PID"
